@@ -12,7 +12,7 @@ from .baselines import (flow_baseline, flow_greedy, forward_greedy,
 from .generators import GeneratorConfig, generate
 from .oracle import (SessionTrace, brute_force_mapping, brute_force_matching,
                      simulate_sessions)
-from .postprocess import prune_to_k, truncate_greedy_run
+from .postprocess import prune_to_k
 
 __all__ = [
     "Allocation", "DecompositionTerm", "GeneratorConfig", "IterationLog",
@@ -22,8 +22,8 @@ __all__ = [
     "forward_greedy", "generate", "global_greedy", "instrumented_run",
     "mwm_baseline", "nonoblivious_backwards_greedy", "online_threshold",
     "prune_to_k", "read_allocation", "read_instance", "simulate_sessions",
-    "suffix_reward", "truncate_greedy_run", "validate_allocation",
-    "validate_instance", "write_allocation", "write_instance",
+    "suffix_reward", "validate_allocation", "validate_instance",
+    "write_allocation", "write_instance",
 ]
 
 __version__ = "0.1.0"

@@ -18,8 +18,8 @@ import bisect
 import time
 from dataclasses import dataclass
 
-from .core import (Allocation, Mode, ProblemInstance, SolveReport,
-                   expected_reward, suffix_value, suffix_vector)
+from .core import (Allocation, Mode, SolveReport, expected_reward,
+                   suffix_value, suffix_vector)
 
 
 @dataclass

@@ -12,12 +12,10 @@ import bisect
 import heapq
 import math
 import time
-from dataclasses import dataclass
 
 from . import matching
 from .algorithms import backwards_greedy
-from .core import (Allocation, Mode, ProblemInstance, SolveReport,
-                   expected_reward, suffix_value)
+from .core import Allocation, Mode, SolveReport, expected_reward
 
 
 def _report(name, inst, entries, t0, counters=None, mode=Mode.MATCHING):
@@ -26,17 +24,6 @@ def _report(name, inst, entries, t0, counters=None, mode=Mode.MATCHING):
                        expected_reward=expected_reward(inst, alloc),
                        wall_time=time.perf_counter() - t0,
                        counters=counters or {})
-
-
-@dataclass
-class CandidateBound:
-    """Heap payload for lazy global greedy: a cached upper bound on the
-    marginal gain of one edge.  Valid because gains only shrink as the
-    allocation grows."""
-
-    edge: tuple
-    bound: float
-    stamp: int
 
 
 def _contributions(inst, entries):
@@ -179,7 +166,7 @@ def flow_cardinality(q, n, m):
 
 def flow_baseline(inst, k_limit=None):
     """Cardinality-constrained static-weight matching: at most k(q) ads
-    (optionally further capped by ``k_limit``), via min-cost flow."""
+    (optionally further capped by ``k_limit``), via a capped matching."""
     t0 = time.perf_counter()
     k = flow_cardinality(inst.quit_prob, inst.num_ads, inst.num_slots)
     if k_limit is not None:

@@ -1,21 +1,23 @@
 """Command-line front end: generate instances, run solvers, verify
 allocations, simulate sessions, and run benchmark suites to CSV.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure, 3 guard/timeout.
+Exit codes: 0 success, 1 usage error, 2 validation failure (including a
+malformed or missing input file), 3 oracle guard refusal.  ``bench
+--time-limit`` does not stop a run; it only marks an over-long row
+``timeout``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import statistics
 import sys
 import time
 
 from . import baselines, core, generators, oracle, postprocess
 from .algorithms import backwards_greedy, nonoblivious_backwards_greedy
-from .core import Allocation, Mode, SolveReport
+from .core import Mode, SolveReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -195,13 +197,18 @@ def run_bench(schemes, algorithms, seeds, n, m, q, k=None, time_limit=3600.0):
                 opts = {}
                 if k is not None and algorithm not in PRUNED_UNDER_K:
                     opts["k"] = k
-                report = SOLVERS[algorithm](inst, **opts)
-                if k is not None and algorithm in PRUNED_UNDER_K:
-                    alloc = postprocess.prune_to_k(inst, report.allocation, k)
+                try:
+                    report = SOLVERS[algorithm](inst, **opts)
+                except oracle.OracleGuardError:
+                    status, alloc = "refused", None
                 else:
                     alloc = report.allocation
+                    if k is not None and algorithm in PRUNED_UNDER_K:
+                        alloc = postprocess.prune_to_k(inst, alloc, k)
+                    status = "ok"
                 elapsed = time.perf_counter() - t0
-                timed_out = elapsed > time_limit
+                if status == "ok" and elapsed > time_limit:
+                    status = "timeout"
                 rows.append({
                     "dataset": tag,
                     "scheme": scheme,
@@ -210,12 +217,12 @@ def run_bench(schemes, algorithms, seeds, n, m, q, k=None, time_limit=3600.0):
                     "q": _num(q),
                     "k": "" if k is None else k,
                     "algorithm": algorithm,
-                    "reward": "" if timed_out
+                    "reward": "" if status != "ok"
                               else _num(core.expected_reward(inst, alloc)),
-                    "size": len(alloc),
+                    "size": "" if alloc is None else len(alloc),
                     "seconds": _num(elapsed),
                     "seed": seed,
-                    "status": "timeout" if timed_out else "ok",
+                    "status": status,
                 })
     return rows
 
@@ -320,7 +327,6 @@ def cmd_slots_cdf(args):
                 print("warning: %s is empty, no CDF emitted" % path,
                       file=sys.stderr)
                 continue
-            count = 0
             idx = 0
             for j in range(1, m + 1):
                 while idx < len(slots) and slots[idx] <= j:
@@ -347,7 +353,7 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, core.FormatError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

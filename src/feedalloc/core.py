@@ -253,18 +253,37 @@ def write_instance(inst, path):
             fh.write("%d %d %s\n" % (i, j, _fmt(r)))
 
 
-def read_instance(path):
+class FormatError(ValueError):
+    """A malformed instance or allocation file; the message starts with
+    ``path:line``."""
+
+
+def _read_records(path, types):
+    """One tuple per non-blank line of ``path``, with field k converted by
+    ``types[k]``."""
+    records = []
     with open(path) as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
-    if not lines:
-        raise ValueError("empty instance file: %s" % path)
-    n, m, q = lines[0].split()
-    edges = []
-    for ln in lines[1:]:
-        i, j, r = ln.split()
-        edges.append((int(i), int(j), float(r)))
-    return ProblemInstance(num_ads=int(n), num_slots=int(m),
-                           quit_prob=float(q), edges=tuple(edges))
+        for lineno, ln in enumerate(fh, 1):
+            fields = ln.split()
+            if not fields:
+                continue
+            if len(fields) != len(types):
+                raise FormatError("%s:%d: expected %d fields, got %d"
+                                  % (path, lineno, len(types), len(fields)))
+            try:
+                records.append(tuple(t(x) for t, x in zip(types, fields)))
+            except ValueError as exc:
+                raise FormatError("%s:%d: %s" % (path, lineno, exc)) from None
+    return records
+
+
+def read_instance(path):
+    records = _read_records(path, (int, int, float))
+    if not records:
+        raise FormatError("%s:1: empty instance file" % path)
+    n, m, q = records[0]
+    return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q,
+                           edges=tuple(records[1:]))
 
 
 def write_allocation(alloc, path):
@@ -274,12 +293,5 @@ def write_allocation(alloc, path):
 
 
 def read_allocation(path, mode=Mode.MATCHING):
-    entries = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
-                continue
-            j, i = ln.split()
-            entries.append((int(j), int(i)))
-    return Allocation(entries=tuple(entries), mode=mode)
+    return Allocation(entries=tuple(_read_records(path, (int, int))),
+                      mode=mode)

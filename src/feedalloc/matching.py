@@ -1,205 +1,105 @@
-"""Exact max-weight bipartite matching via min-cost flow.
+"""Exact maximum-weight bipartite matching, optionally capped at k pairs.
 
-Self-contained successive-shortest-path solver with node potentials.
-Costs are real-valued; reduced costs are kept non-negative up to a 1e-12
-tolerance.  Ties between equal-cost augmenting paths break towards the
-lowest node index (heap entries are (distance, node)).
+Both functions reduce the matching to a full rectangular assignment and
+solve it with SciPy's sparse Jonker-Volgenant solver LAPJVsp
+(``scipy.sparse.csgraph.min_weight_full_bipartite_matching``; Jonker &
+Volgenant 1987, Computing 38).
+
+Reduction.  Only edges of positive weight enter, so zero-weight edges are
+never forced; of parallel edges only the heaviest is kept.  The smaller
+side of the remaining graph becomes the rows.  Each row gets a private
+dummy column of weight 5e-324 (the solver drops explicit zeros), so a full
+assignment always exists and a row on its dummy is left unmatched.  A cap
+k below the row count r adds r - k shared dummy columns of weight
+1 + sum(w): each outweighs all real edges together, so an optimum fills
+every shared dummy and leaves at most k rows on real edges.
+
+Pruning under a cap.  Before the dummies are added the edges are cut to
+(1) each slot's k heaviest, (2) each ad's k heaviest of those, and (3) the
+2k(k-1) + 1 heaviest of what is left.  No step loses an optimum.  In (1),
+if an optimum uses a dropped edge at slot j, its other <= k-1 pairs use at
+most k-1 ads, so one of slot j's k kept edges goes to a free ad; it is at
+least as heavy and can replace the dropped edge.  (2) is the same argument
+per ad.  After (2) every vertex has degree <= k, so the other <= k-1 pairs
+of an optimum touch at most 2k(k-1) edges; a kept edge of (3) that is free
+of them replaces any dropped edge at no loss.
+
+Ties.  The total weight is optimal.  Which of several tied optima is
+returned is unspecified, but it is deterministic for a given input and
+SciPy version.
+
+SciPy is imported on first use, so ``import feedalloc`` does not load it.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass, field
+import numpy as np
 
-COST_EPS = 1e-12
+DUMMY_WEIGHT = 5e-324
 
 
-@dataclass
-class FlowNetwork:
-    """Directed network; arcs are (from, to, capacity, cost)."""
-
-    num_nodes: int
-    source: int
-    sink: int
-    arcs: list = field(default_factory=list)
-
-    def add_arc(self, u, v, cap, cost):
-        if u == v:
-            raise ValueError("self-loop arc %d -> %d" % (u, v))
-        if cap < 0:
-            raise ValueError("negative capacity on arc %d -> %d" % (u, v))
-        self.arcs.append((u, v, int(cap), float(cost)))
+def _keep_top(group, w, k):
+    """Mask of the k heaviest edges within each group (stable on ties)."""
+    order = np.lexsort((-w, group))
+    g = group[order]
+    rank = np.arange(len(g)) - np.searchsorted(g, g)
+    keep = np.zeros(len(g), dtype=bool)
+    keep[order[rank < k]] = True
+    return keep
 
 
-@dataclass
-class FlowResult:
-    flows: list          # flow per input arc, same order
-    cost: float
-    flow_value: int
-    met_demand: bool
-
-
-class NegativeCycleError(ValueError):
-    pass
-
-
-def min_cost_flow(net, demand, stop_at_nonnegative_cost=False):
-    """Integral min-cost flow of value min(demand, maxflow).
-
-    Successive shortest paths: initial potentials come from Bellman-Ford
-    (input arcs may have negative cost but must not form a negative cycle),
-    after which Dijkstra on reduced costs finds each augmenting path.  With
-    ``stop_at_nonnegative_cost`` augmentation also stops once the cheapest
-    path cost is >= -COST_EPS, which is the matching stopping rule.
-    """
-    n = net.num_nodes
-    if not (0 <= net.source < n and 0 <= net.sink < n) or net.source == net.sink:
-        raise ValueError("bad source/sink")
-    # residual arcs: [to, cap, cost, index of reverse]
-    graph = [[] for _ in range(n)]
-    for (u, v, cap, cost) in net.arcs:
-        graph[u].append([v, cap, cost, len(graph[v])])
-        graph[v].append([u, 0, -cost, len(graph[u]) - 1])
-
-    pot = _bellman_ford(graph, n, net.source)
-
-    flow = 0
-    total_cost = 0.0
-    INF = math.inf
-    while flow < demand:
-        dist = [INF] * n
-        dist[net.source] = 0.0
-        prev = [None] * n          # (node, arc index)
-        heap = [(0.0, net.source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] + COST_EPS:
-                continue
-            if pot[u] == INF:
-                continue
-            for idx, (v, cap, cost, _rev) in enumerate(graph[u]):
-                if cap <= 0 or pot[v] == INF:
-                    continue
-                # reduced cost; tiny negatives are numerical noise
-                rc = cost + pot[u] - pot[v]
-                nd = d + (rc if rc > 0.0 else 0.0)
-                if nd < dist[v] - COST_EPS:
-                    dist[v] = nd
-                    prev[v] = (u, idx)
-                    heapq.heappush(heap, (nd, v))
-        if dist[net.sink] == INF:
-            break
-        # true path cost under original costs
-        path_cost = dist[net.sink] + pot[net.sink] - pot[net.source]
-        if stop_at_nonnegative_cost and path_cost >= -COST_EPS:
-            break
-        for v in range(n):
-            if dist[v] < INF:
-                pot[v] += dist[v]
-        # bottleneck along the path
-        push = demand - flow
-        v = net.sink
-        while v != net.source:
-            u, idx = prev[v]
-            push = min(push, graph[u][idx][1])
-            v = u
-        v = net.sink
-        while v != net.source:
-            u, idx = prev[v]
-            arc = graph[u][idx]
-            arc[1] -= push
-            graph[v][arc[3]][1] += push
-            v = u
-        flow += push
-        total_cost += push * path_cost
-    flows = _extract_flows(net, graph)
-    return FlowResult(flows=flows, cost=total_cost, flow_value=flow,
-                      met_demand=flow >= demand)
-
-
-def _extract_flows(net, graph):
-    """Per-arc flow = capacity minus remaining residual.  Residual lists were
-    built by appending, per input arc, first the forward arc to graph[u] and
-    then its reverse to graph[v]; replay that order to locate each arc."""
-    counts = [0] * net.num_nodes
-    flows = []
-    for (u, v, cap, cost) in net.arcs:
-        pos_u = counts[u]
-        counts[u] += 1
-        counts[v] += 1
-        flows.append(cap - graph[u][pos_u][1])
-    return flows
-
-
-def _bellman_ford(graph, n, source):
-    """Shortest distances allowing negative arcs; raises on negative cycles.
-    Early exit makes this cheap on the layered DAGs built here."""
-    INF = math.inf
-    dist = [INF] * n
-    dist[source] = 0.0
-    for it in range(n + 1):
-        changed = False
-        for u in range(n):
-            du = dist[u]
-            if du == INF:
-                continue
-            for (v, cap, cost, _rev) in graph[u]:
-                if cap > 0 and du + cost < dist[v] - COST_EPS:
-                    dist[v] = du + cost
-                    changed = True
-        if not changed:
-            break
-        if it == n:
-            raise NegativeCycleError("negative-cost cycle in input network")
-    # unreachable nodes keep INF potentials; Dijkstra skips them
-    return dist
-
-
-def constrained_max_weight_matching(edges, k, n=None, m=None):
-    """Maximum-weight matching of size <= k over (ad, slot, weight) triples.
-
-    One flow augmentation adds one matched pair; augmentation stops after k
-    pairs or when the best augmenting path no longer has positive weight, so
-    zero-weight edges are never forced into the matching.
-    Returns (list of (ad, slot), total weight).
-    """
-    edges = [(int(i), int(j), float(w)) for i, j, w in edges]
-    for i, j, w in edges:
-        if not (w >= 0.0 and math.isfinite(w)):
-            raise ValueError("weight of edge (%d, %d) must be finite and >= 0" % (i, j))
-    if k <= 0 or not edges:
+def _solve(edges, k=None):
+    e = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
+    bad = np.flatnonzero(~(np.isfinite(e[:, 2]) & (e[:, 2] >= 0.0)))
+    if bad.size:
+        i, j, _w = e[bad[0]]
+        raise ValueError("weight of edge (%d, %d) must be finite and >= 0"
+                         % (i, j))
+    e = e[e[:, 2] > 0.0]
+    if (k is not None and k <= 0) or not len(e):
         return [], 0.0
-    ads = sorted({i for i, _, _ in edges})
-    slots = sorted({j for _, j, _ in edges})
-    ad_node = {a: 1 + idx for idx, a in enumerate(ads)}
-    slot_node = {s: 1 + len(ads) + idx for idx, s in enumerate(slots)}
-    num_nodes = 2 + len(ads) + len(slots)
-    source, sink = 0, num_nodes - 1
-    net = FlowNetwork(num_nodes=num_nodes, source=source, sink=sink)
-    for a in ads:
-        net.add_arc(source, ad_node[a], 1, 0.0)
-    edge_arc_start = len(net.arcs)
-    for i, j, w in edges:
-        net.add_arc(ad_node[i], slot_node[j], 1, -w)
-    for s in slots:
-        net.add_arc(slot_node[s], sink, 1, 0.0)
-    res = min_cost_flow(net, demand=min(k, len(ads), len(slots)),
-                        stop_at_nonnegative_cost=True)
-    matching = []
-    total = 0.0
-    for (i, j, w), f in zip(edges, res.flows[edge_arc_start:edge_arc_start + len(edges)]):
-        if f > 0:
-            matching.append((i, j))
-            total += w
-    matching.sort()
-    return matching, total
+    # the heaviest of parallel edges, then the pruning steps under a cap
+    e = e[_keep_top(e[:, 0] * (e[:, 1].max() + 1) + e[:, 1], e[:, 2], 1)]
+    if k is not None:
+        e = e[_keep_top(e[:, 1], e[:, 2], k)]
+        e = e[_keep_top(e[:, 0], e[:, 2], k)]
+        e = e[np.argsort(-e[:, 2], kind="stable")[:2 * k * (k - 1) + 1]]
+
+    ads, a = np.unique(e[:, 0].astype(np.int64), return_inverse=True)
+    slots, s = np.unique(e[:, 1].astype(np.int64), return_inverse=True)
+    w = e[:, 2]
+    swap = len(ads) > len(slots)
+    row, col = (s, a) if swap else (a, s)
+    nr, nc = (len(slots), len(ads)) if swap else (len(ads), len(slots))
+    shared = 0 if k is None else max(nr - k, 0)
+    rows = np.arange(nr)
+    graph_row = np.concatenate([row, rows, np.repeat(rows, shared)])
+    graph_col = np.concatenate([col, nc + rows,
+                                np.tile(nc + nr + np.arange(shared), nr)])
+    data = np.concatenate([w, np.full(nr, DUMMY_WEIGHT),
+                           np.full(nr * shared, 1.0 + w.sum())])
+
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    graph = csr_array((data, (graph_row, graph_col)),
+                      shape=(nr, nc + nr + shared))
+    r, c = min_weight_full_bipartite_matching(graph, maximize=True)
+    real = c < nc
+    r, c = r[real], c[real]
+    total = float(graph[r, c].sum())
+    a, s = (c, r) if swap else (r, c)
+    return sorted(zip(ads[a].tolist(), slots[s].tolist())), total
 
 
-def max_weight_matching(edges, n=None, m=None):
+def constrained_max_weight_matching(edges, k):
+    """Maximum-weight matching of at most ``k`` pairs over a sequence of
+    (ad, slot, weight) triples with finite weights >= 0.
+    Returns (sorted list of (ad, slot), total weight)."""
+    return _solve(edges, k)
+
+
+def max_weight_matching(edges):
     """Maximum-weight matching over (ad, slot, weight) triples (no size cap).
-    Returns (list of (ad, slot), total weight)."""
-    if not edges:
-        return [], 0.0
-    edges = list(edges)
-    return constrained_max_weight_matching(edges, k=len(edges))
+    Returns (sorted list of (ad, slot), total weight)."""
+    return _solve(edges)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Allocation, Mode, ProblemInstance, expected_reward,
-                   suffix_value, validate_allocation)
+from .core import Allocation, Mode, suffix_value, validate_allocation
 
 
 class OracleGuardError(ValueError):

@@ -4,7 +4,7 @@ Greedy pruning removes one entry at a time, each time the one whose removal
 loses the least expected reward (losses are recomputed after every removal;
 a removal can even gain, since dropping an ad restores attention for the
 ads after it).  Greedy/online algorithms are instead simply stopped after k
-commitments.
+commitments, through their ``max_assignments`` argument.
 """
 
 from __future__ import annotations
@@ -31,10 +31,3 @@ def prune_to_k(inst, alloc, k):
         entries.pop(best_idx)
         current = best_value
     return Allocation(entries=tuple(entries), mode=alloc.mode)
-
-
-def truncate_greedy_run(algorithm, inst, k, **kwargs):
-    """Run a greedy/online baseline with a hard stop after k assignments.
-    ``algorithm`` is any solver accepting ``max_assignments`` (global_greedy,
-    forward_greedy, online_threshold)."""
-    return algorithm(inst, max_assignments=k, **kwargs)

@@ -63,6 +63,29 @@ def test_missing_file_exits_2(tmp_path):
         == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("text, line", [
+    ("1 1 abc\n", 1),                     # non-numeric header field
+    ("2 2 0.1\n1 1 1.0\n\n1 2\n", 4),     # two-field edge line
+    ("2 2 0.1\n1 1.5 1.0\n", 2),           # non-integer slot
+])
+def test_malformed_instance_exits_2(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert cli.main(["solve", str(bad), "gb"]) == cli.EXIT_VALIDATION
+    assert "%s:%d:" % (bad, line) in capsys.readouterr().err
+
+
+def test_malformed_allocation_exits_2(tmp_path, capsys):
+    _inst, path = _write_inst(tmp_path)
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("1 1\n2 x\n")
+    assert cli.main(["verify", path, str(alloc_path)]) == cli.EXIT_VALIDATION
+    assert "%s:2:" % alloc_path in capsys.readouterr().err
+    alloc_path.write_text("1 1 1\n")
+    assert cli.main(["slots-cdf", path, str(alloc_path), "--out",
+                     str(tmp_path / "cdf.csv")]) == cli.EXIT_VALIDATION
+
+
 def test_usage_error_exits_1(tmp_path):
     _inst, path = _write_inst(tmp_path)
     assert cli.main(["solve", path, "definitely-not-a-solver"]) \
@@ -111,6 +134,24 @@ def test_bench_writes_csv_and_summary(tmp_path, capsys):
     with open(summary, newline="") as fh:
         srows = list(csv.DictReader(fh))
     assert len(srows) == 4  # scheme x algorithm groups
+
+
+def test_bench_records_refused_bruteforce_rows(tmp_path):
+    # 5 x 10 complete graph: too many edges for the brute-force guard
+    out = tmp_path / "bench.csv"
+    summary = tmp_path / "summary.csv"
+    code = cli.main(["bench", "--schemes", "symmetric",
+                     "--algorithms", "bruteforce,gbp", "--seeds", "1",
+                     "--n", "5", "--m", "10", "--out", str(out),
+                     "--summary-out", str(summary)])
+    assert code == cli.EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["refused", "ok"]
+    assert rows[0]["reward"] == "" and rows[0]["size"] == ""
+    assert float(rows[1]["reward"]) > 0.0
+    with open(summary, newline="") as fh:
+        assert [row["algorithm"] for row in csv.DictReader(fh)] == ["gbp"]
 
 
 def test_bench_suite_config_file(tmp_path):

@@ -1,13 +1,17 @@
-"""Min-cost-flow matching engine against exhaustive enumeration."""
+"""Matching engine against exhaustive enumeration and an integer program."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from feedalloc.matching import (COST_EPS, FlowNetwork, NegativeCycleError,
-                                constrained_max_weight_matching,
-                                max_weight_matching, min_cost_flow)
+import feedalloc
+from feedalloc.matching import (constrained_max_weight_matching,
+                                max_weight_matching)
 
 
 def _best_matching_weight(edges, k=None):
@@ -25,40 +29,113 @@ def _best_matching_weight(edges, k=None):
 
 
 def _random_edges(rng, n_max=5, m_max=5, p=0.6):
+    """Random edges; half the graphs draw tie-heavy integer weights 0..3."""
+    ties = rng.random() < 0.5
     edges = []
     for i in range(1, rng.randint(1, n_max) + 1):
         for j in range(1, rng.randint(1, m_max) + 1):
             if rng.random() < p:
-                edges.append((i, j, round(rng.uniform(0.0, 10.0), 3)))
+                w = (float(rng.randint(0, 3)) if ties
+                     else round(rng.uniform(0.0, 10.0), 3))
+                edges.append((i, j, w))
     return edges
+
+
+def _check_matching(edges, pairs, weight):
+    """``pairs`` is a matching over ``edges`` and ``weight`` its total."""
+    weights = {(i, j): w for i, j, w in edges}
+    assert pairs == sorted(pairs)
+    assert len({i for i, _ in pairs}) == len(pairs)
+    assert len({j for _, j in pairs}) == len(pairs)
+    assert all(weights[p] > 0.0 for p in pairs)
+    assert weight == pytest.approx(sum(weights[p] for p in pairs), abs=1e-9)
 
 
 def test_max_weight_matching_equals_enumeration():
     rng = random.Random(31)
-    for _ in range(100):
+    for _ in range(200):
         edges = _random_edges(rng)
         if len(edges) > 12:
             continue
         pairs, weight = max_weight_matching(edges)
+        _check_matching(edges, pairs, weight)
         assert weight == pytest.approx(_best_matching_weight(edges), abs=1e-9)
-        # result is itself a matching over instance edges
-        assert len({i for i, _ in pairs}) == len(pairs)
-        assert len({j for _, j in pairs}) == len(pairs)
-        edge_set = {(i, j) for i, j, _ in edges}
-        assert all(p in edge_set for p in pairs)
 
 
 def test_constrained_matching_equals_enumeration():
     rng = random.Random(32)
-    for _ in range(100):
+    for _ in range(200):
         edges = _random_edges(rng)
         if len(edges) > 12:
             continue
-        for k in (0, 1, 2, 3):
+        for k in (0, 1, 2, 3, 5):
             pairs, weight = constrained_max_weight_matching(edges, k)
+            _check_matching(edges, pairs, weight)
             assert len(pairs) <= k
             assert weight == pytest.approx(_best_matching_weight(edges, k),
                                            abs=1e-9)
+
+
+def _milp_matching_weight(edges, k=None):
+    """Exact integer program: best total weight of a matching of <= k
+    edges (one binary variable per edge)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    ads = sorted({i for i, _, _ in edges})
+    slots = sorted({j for _, j, _ in edges})
+    a = np.zeros((len(ads) + len(slots) + 1, len(edges)))
+    for e, (i, j, _w) in enumerate(edges):
+        a[ads.index(i), e] = 1.0
+        a[len(ads) + slots.index(j), e] = 1.0
+    a[-1, :] = 1.0
+    ub = np.ones(len(a))
+    ub[-1] = len(edges) if k is None else k
+    res = milp(-np.array([w for _, _, w in edges]),
+               constraints=LinearConstraint(a, -np.inf, ub),
+               integrality=np.ones(len(edges)), bounds=Bounds(0, 1),
+               options={"mip_rel_gap": 0.0})
+    assert res.success
+    return -res.fun
+
+
+def test_mid_size_matching_equals_integer_program():
+    # ~20x30 graphs with tie-heavy integer weights: vertex degrees exceed k
+    # and more than 2k(k-1)+1 edges survive the per-vertex cuts, so every
+    # pruning step of the capped solver is active
+    rng = random.Random(33)
+    for _ in range(12):
+        edges = [(i, j, float(rng.randint(0, 4)))
+                 for i in range(1, rng.randint(15, 20) + 1)
+                 for j in range(1, rng.randint(25, 30) + 1)
+                 if rng.random() < 0.5]
+        for k in (None, 1, 2, 3, 5):
+            if k is None:
+                pairs, weight = max_weight_matching(edges)
+            else:
+                pairs, weight = constrained_max_weight_matching(edges, k)
+                assert len(pairs) <= k
+            _check_matching(edges, pairs, weight)
+            assert weight == pytest.approx(_milp_matching_weight(edges, k),
+                                           abs=1e-6)
+
+
+def test_parallel_edges_keep_the_heaviest():
+    edges = [(1, 1, 2.0), (1, 1, 5.0), (2, 1, 4.0), (1, 1, 3.0)]
+    assert max_weight_matching(edges) == ([(1, 1)], 5.0)
+    assert constrained_max_weight_matching(edges, 1) == ([(1, 1)], 5.0)
+
+
+def test_import_does_not_load_scipy():
+    # the solver imports scipy on first use, keeping ``import feedalloc``
+    # cheap for commands that never match
+    src = os.path.dirname(os.path.dirname(feedalloc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, feedalloc; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_zero_weight_edges_are_not_forced():
@@ -76,55 +153,6 @@ def test_rejects_bad_weights():
         constrained_max_weight_matching([(1, 1, -1.0)], 1)
     with pytest.raises(ValueError):
         constrained_max_weight_matching([(1, 1, float("nan"))], 1)
-
-
-def test_min_cost_flow_simple_network():
-    # two parallel routes 0 -> 3; the cheap one saturates first
-    net = FlowNetwork(num_nodes=4, source=0, sink=3)
-    net.add_arc(0, 1, 2, 1.0)
-    net.add_arc(1, 3, 2, 1.0)
-    net.add_arc(0, 2, 2, 3.0)
-    net.add_arc(2, 3, 2, 3.0)
-    res = min_cost_flow(net, demand=3)
-    assert res.flow_value == 3 and res.met_demand
-    assert res.cost == pytest.approx(2 * 2.0 + 1 * 6.0)
-    assert res.flows == [2, 2, 1, 1]
-
-
-def test_min_cost_flow_short_demand():
-    net = FlowNetwork(num_nodes=3, source=0, sink=2)
-    net.add_arc(0, 1, 1, 1.0)
-    net.add_arc(1, 2, 1, 1.0)
-    res = min_cost_flow(net, demand=5)
-    assert res.flow_value == 1 and not res.met_demand
-
-
-def test_min_cost_flow_handles_negative_costs():
-    net = FlowNetwork(num_nodes=4, source=0, sink=3)
-    net.add_arc(0, 1, 1, -5.0)
-    net.add_arc(1, 3, 1, 0.0)
-    net.add_arc(0, 2, 1, 1.0)
-    net.add_arc(2, 3, 1, 1.0)
-    res = min_cost_flow(net, demand=2)
-    assert res.cost == pytest.approx(-5.0 + 2.0)
-
-
-def test_negative_cycle_is_detected():
-    net = FlowNetwork(num_nodes=4, source=0, sink=3)
-    net.add_arc(0, 1, 1, 1.0)
-    net.add_arc(1, 2, 1, -3.0)
-    net.add_arc(2, 1, 1, 1.0)
-    net.add_arc(2, 3, 1, 1.0)
-    with pytest.raises(NegativeCycleError):
-        min_cost_flow(net, demand=1)
-
-
-def test_network_rejects_bad_arcs():
-    net = FlowNetwork(num_nodes=3, source=0, sink=2)
-    with pytest.raises(ValueError):
-        net.add_arc(1, 1, 1, 0.0)
-    with pytest.raises(ValueError):
-        net.add_arc(0, 1, -1, 0.0)
 
 
 def test_stop_at_nonnegative_cost_matches_matching_rule():

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import make_rng, random_matching, sparse_instance
 from feedalloc.baselines import forward_greedy, global_greedy
-from feedalloc.core import Allocation, Mode, ProblemInstance, expected_reward
-from feedalloc.postprocess import prune_to_k, truncate_greedy_run
+from feedalloc.core import Allocation, ProblemInstance, expected_reward
+from feedalloc.postprocess import prune_to_k
 
 
 def _inst(n, m, q, edges):
@@ -79,5 +79,5 @@ def test_truncate_greedy_run_stops_at_k():
     full = global_greedy(inst)
     k = max(len(full.allocation) - 1, 0)
     for algorithm in (global_greedy, forward_greedy):
-        report = truncate_greedy_run(algorithm, inst, k)
+        report = algorithm(inst, max_assignments=k)
         assert len(report.allocation) <= k
