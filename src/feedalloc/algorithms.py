@@ -5,21 +5,22 @@ slot j can never hurt the still-unprocessed slots before it.
 
 ``backwards_greedy`` scores each candidate by its exact marginal gain on the
 suffix objective and is optimal in mapping mode (ads reusable); in matching
-mode it is a 2-approximation.
+mode it is a 2-approximation.  The gain has a closed form in f_j(M), the
+moved ad's old slot and the suffix value after it, all read from a segment
+tree over the slots (``core.SuffixTree``), so the cost is O(|E| log m).
 
 ``nonoblivious_backwards_greedy`` (matching only) replaces the exact gain
 with a cheap lower bound built from per-ad estimates tau_i, giving the same
-2-approximation at O(|E| + m*|M|) cost instead of O(|E|*|M|).
+2-approximation at O(|E| + m*|M|) cost with O(1) work per candidate.
 """
 
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass
 
-from .core import (Allocation, Mode, SolveReport, expected_reward,
-                   suffix_value, suffix_vector)
+from .core import (Allocation, Mode, SolveReport, SuffixTree,
+                   expected_reward, suffix_value, suffix_vector)
 
 
 @dataclass
@@ -36,30 +37,13 @@ class IterationLog:
     suffix_after: tuple   # same, after
 
 
-def _suffix_eval(entries, q, base, skip_ad=None, extra=None):
-    """suffix_value over ``entries`` (slot-sorted (slot, ad, reward)), with
-    all edges of ``skip_ad`` dropped and an optional (slot, reward) ``extra``
-    entry merged in at its slot position."""
-    s = 1.0 - q
-    total = 0.0
-    count = 0
-    pending = extra if extra is not None and extra[0] > base else None
-    for slot, ad, r in entries:
-        if slot <= base or ad == skip_ad:
-            continue
-        if pending is not None and pending[0] < slot:
-            total += pending[1] * s ** (pending[0] - base + count)
-            count += 1
-            pending = None
-        total += r * s ** (slot - base + count)
-        count += 1
-    if pending is not None:
-        total += pending[1] * s ** (pending[0] - base + count)
-    return total
-
-
 def _snapshot(entries, q, m):
     return tuple(suffix_vector([(j, r) for j, _, r in entries], q, m))
+
+
+def _triples(placed):
+    """(slot, ad, reward) triples of a slot -> (ad, reward) map."""
+    return [(j, i, r) for j, (i, r) in placed.items()]
 
 
 def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
@@ -67,14 +51,28 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
     """Exact-gain backwards greedy.
 
     At slot j every candidate ad i is tried as M_i = M + (i, j); in matching
-    mode an ad already placed at a later slot is moved (its old edge removed,
-    the vacated slot stays empty).  The gain is
+    mode an ad already placed at a later slot sigma(i) is moved (its old
+    edge removed, the vacated slot stays empty).  The exact gain
 
         g_i = f_{j-1}(M_i) / (1-q) - f_j(M)
+            = r_ij - q * f_j(M) - (1-q) * loss_i
 
-    and the best candidate is committed iff g > 0.  Ties break to the lowest
-    ad index.  Suffix values are evaluated by a fresh backward pass per
-    candidate, so the cost is O(|E| * |M|).
+    is computed in closed form, where loss_i = f_j(M) - f_j(M - e_sigma(i))
+    is
+
+        loss_i = (1-q)^(sigma(i) - j + p_i) * (r_{i sigma(i)} - q * f_{sigma(i)}(M))
+
+    with p_i the number of entries in slots (j, sigma(i)); loss_i is 0 for
+    an unplaced ad and in mapping mode.  The best candidate is committed iff
+    g > 0.  f_j, f_{sigma(i)} and p_i are read from a ``SuffixTree`` over
+    the slots, so the cost is O(|E| log m).
+
+    Ties break to the lowest ad index among gains equal in floating point;
+    unplaced ads with equal rewards always tie exactly.  Gains that differ
+    by less than their rounding error (integer rewards, as on the
+    finely_targeted scheme) may be ordered differently than by a direct
+    re-evaluation of f_{j-1}(M_i), so which of such ads is picked is not
+    part of the contract.
 
     ``initial`` seeds the matching with pre-assigned (slot, ad) pairs whose
     slots (listed in ``frozen_slots``) are excluded from processing; the
@@ -85,15 +83,18 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
     """
     t0 = time.perf_counter()
     q = inst.quit_prob
-    s = 1.0 - q
     m = inst.num_slots
-    entries = []          # slot-ascending (slot, ad, reward)
+    matching = mode is Mode.MATCHING
+    tree = SuffixTree(m, q)
+    powers = tree.powers
+    placed = {}           # slot -> (ad, reward)
     matched_slot = {}     # ad -> slot, matching mode only
-    locked = set()
-    if initial:
-        entries = sorted((j, i, inst.reward(i, j)) for j, i in initial)
-        matched_slot = {i: j for j, i, _ in entries}
-        locked = set(matched_slot)
+    for j, i in initial or ():
+        r = inst.reward(i, j)
+        placed[j] = (i, r)
+        tree.insert(j, r)
+        matched_slot[i] = j
+    locked = set(matched_slot)
     frozen = frozen_slots or ()
     evals = commits = reassigns = 0
     for j in range(m, 0, -1):
@@ -101,24 +102,27 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
             continue
         cands = inst.candidates(j)
         if log is not None:
-            before = _snapshot(entries, q, m)
+            before = _snapshot(_triples(placed), q, m)
         if not cands:
             if log is not None:
                 log.append(IterationLog(j, (), None, float("nan"), False, False,
                                         before, before))
             continue
-        fj = suffix_value([(slot, r) for slot, _, r in entries], q, base=j)
+        above, fj = tree.suffix(j)
         best_i = None
         best_g = 0.0
         best_reassign = False
         for i in cands:
             if i in locked:
                 continue
-            r = inst.reward(i, j)
-            reassign = mode is Mode.MATCHING and i in matched_slot
-            skip = i if reassign else None
-            fjm1 = _suffix_eval(entries, q, j - 1, skip_ad=skip, extra=(j, r))
-            g = fjm1 / s - fj
+            g = inst.reward(i, j) - q * fj
+            reassign = matching and i in matched_slot
+            if reassign:
+                sigma = matched_slot[i]
+                after, f_sigma = tree.suffix(sigma)
+                # (1-q)^(sigma - j + p_i + 1), p_i = above - after - 1
+                g -= powers[sigma - j + above - after] \
+                    * (placed[sigma][1] - q * f_sigma)
             evals += 1
             if best_i is None or g > best_g:
                 best_i, best_g, best_reassign = i, g, reassign
@@ -127,18 +131,23 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
             commits += 1
             if best_reassign:
                 reassigns += 1
-                entries = [e for e in entries if e[1] != best_i]
-            bisect.insort(entries, (j, best_i, inst.reward(best_i, j)))
-            if mode is Mode.MATCHING:
+                old = matched_slot[best_i]
+                del placed[old]
+                tree.remove(old)
+            r = inst.reward(best_i, j)
+            placed[j] = (best_i, r)
+            tree.insert(j, r)
+            if matching:
                 matched_slot[best_i] = j
         if log is not None:
             log.append(IterationLog(j, tuple(cands), best_i if committed else None,
                                     best_g, committed,
                                     committed and best_reassign,
-                                    before, _snapshot(entries, q, m)))
-    alloc = Allocation(entries=tuple((j, i) for j, i, _ in entries), mode=mode)
+                                    before, _snapshot(_triples(placed), q, m)))
+    alloc = Allocation(entries=tuple((j, i) for j, (i, _) in placed.items()),
+                       mode=mode)
     reward = expected_reward(inst, alloc)
-    name = "gb" if mode is Mode.MATCHING else "gb-mapping"
+    name = "gb" if matching else "gb-mapping"
     return SolveReport(algorithm=name, allocation=alloc, expected_reward=reward,
                        wall_time=time.perf_counter() - t0,
                        counters={"gain_evals": evals, "commits": commits,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import statistics
 import sys
 import time
@@ -98,6 +99,8 @@ def build_parser():
     p.add_argument("--threshold", default="auto")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out-allocation", default=None)
+    p.add_argument("--json", action="store_true",
+                   help="print the report as one JSON object")
 
     p = sub.add_parser("bench", help="run a benchmark suite to CSV")
     p.add_argument("--suite", default=None,
@@ -161,9 +164,16 @@ def cmd_solve(args):
                              expected_reward=core.expected_reward(inst, pruned),
                              wall_time=report.wall_time,
                              counters=report.counters)
-    print("algorithm=%s reward=%s size=%d seconds=%s"
-          % (report.algorithm, _num(report.expected_reward),
-             len(report.allocation), _num(report.wall_time)))
+    if args.json:
+        print(json.dumps({"algorithm": report.algorithm,
+                          "reward": report.expected_reward,
+                          "size": len(report.allocation),
+                          "seconds": report.wall_time,
+                          "counters": report.counters}))
+    else:
+        print("algorithm=%s reward=%s size=%d seconds=%s"
+              % (report.algorithm, _num(report.expected_reward),
+                 len(report.allocation), _num(report.wall_time)))
     if args.out_allocation:
         core.write_allocation(report.allocation, args.out_allocation)
     return EXIT_OK

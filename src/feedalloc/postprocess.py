@@ -14,20 +14,34 @@ from .core import Allocation, expected_reward
 
 def prune_to_k(inst, alloc, k):
     """Iteratively remove the min-loss entry until at most k remain.
-    Loss ties break towards removing the highest slot index."""
+    Loss ties break towards removing the highest slot index.
+
+    Removing the entry of rank p (0-based, slot order) at slot j_p loses
+
+        (1-q)^(j_p + p) * (r_p - q * f_{j_p}(M)),
+
+    its own contribution minus the attention it held back from the entries
+    after it.  One backward pass scores every entry, so the cost is
+    O(|M|^2) over all removals.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    entries = list(alloc.entries)
-    current = expected_reward(inst, Allocation(tuple(entries), alloc.mode))
+    expected_reward(inst, alloc)  # raises on an invalid allocation
+    q = inst.quit_prob
+    s = 1.0 - q
+    entries = [(j, i, inst.reward(i, j)) for j, i in alloc.entries]
     while len(entries) > k:
-        best_idx, best_loss, best_value = None, None, None
+        best_idx, best_loss = None, None
+        suffix = 0.0          # f_{slot}(M) of the entry being scored
         # descending slot order so ties keep the first (highest) slot seen
         for idx in range(len(entries) - 1, -1, -1):
-            trial = entries[:idx] + entries[idx + 1:]
-            value = expected_reward(inst, Allocation(tuple(trial), alloc.mode))
-            loss = current - value
+            slot, _ad, r = entries[idx]
+            if idx + 1 < len(entries):
+                next_slot, _, next_r = entries[idx + 1]
+                suffix = s ** (next_slot - slot) * (next_r + s * suffix)
+            loss = s ** (slot + idx) * (r - q * suffix)
             if best_loss is None or loss < best_loss:
-                best_idx, best_loss, best_value = idx, loss, value
+                best_idx, best_loss = idx, loss
         entries.pop(best_idx)
-        current = best_value
-    return Allocation(entries=tuple(entries), mode=alloc.mode)
+    return Allocation(entries=tuple((j, i) for j, i, _ in entries),
+                      mode=alloc.mode)

@@ -1,17 +1,105 @@
 """Backwards greedy (exact gain) and its non-oblivious variant."""
 
+import bisect
+
 import pytest
 
 from conftest import make_rng, sparse_instance
 from feedalloc.algorithms import (backwards_greedy, instrumented_run,
                                   nonoblivious_backwards_greedy)
-from feedalloc.core import Mode, ProblemInstance, expected_reward, suffix_reward
+from feedalloc.baselines import flow_baseline
+from feedalloc.core import (Allocation, Mode, ProblemInstance, expected_reward,
+                            suffix_reward, suffix_value)
 from feedalloc.oracle import brute_force_mapping, brute_force_matching
 
 
 def _inst(n, m, q, edges):
     return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q,
                            edges=tuple(edges))
+
+
+def _suffix_eval(entries, q, base, skip_ad=None, extra=None):
+    """suffix_value over ``entries`` (slot-sorted (slot, ad, reward)), with
+    all edges of ``skip_ad`` dropped and an optional (slot, reward) ``extra``
+    entry merged in at its slot position."""
+    s = 1.0 - q
+    total = 0.0
+    count = 0
+    pending = extra if extra is not None and extra[0] > base else None
+    for slot, ad, r in entries:
+        if slot <= base or ad == skip_ad:
+            continue
+        if pending is not None and pending[0] < slot:
+            total += pending[1] * s ** (pending[0] - base + count)
+            count += 1
+            pending = None
+        total += r * s ** (slot - base + count)
+        count += 1
+    if pending is not None:
+        total += pending[1] * s ** (pending[0] - base + count)
+    return total
+
+
+def naive_backwards_greedy(inst, mode=Mode.MATCHING, initial=None,
+                           frozen_slots=None):
+    """Reference implementation: score every candidate by re-evaluating the
+    whole suffix, g_i = f_{j-1}(M_i) / (1-q) - f_j(M), at O(|E| * |M|).
+    Returns the allocation and the counters backwards_greedy reports."""
+    q = inst.quit_prob
+    s = 1.0 - q
+    entries = []          # slot-ascending (slot, ad, reward)
+    matched_slot = {}     # ad -> slot, matching mode only
+    locked = set()
+    if initial:
+        entries = sorted((j, i, inst.reward(i, j)) for j, i in initial)
+        matched_slot = {i: j for j, i, _ in entries}
+        locked = set(matched_slot)
+    frozen = frozen_slots or ()
+    evals = commits = reassigns = 0
+    for j in range(inst.num_slots, 0, -1):
+        cands = inst.candidates(j)
+        if j in frozen or not cands:
+            continue
+        fj = suffix_value([(slot, r) for slot, _, r in entries], q, base=j)
+        best_i = None
+        best_g = 0.0
+        best_reassign = False
+        for i in cands:
+            if i in locked:
+                continue
+            r = inst.reward(i, j)
+            reassign = mode is Mode.MATCHING and i in matched_slot
+            skip = i if reassign else None
+            fjm1 = _suffix_eval(entries, q, j - 1, skip_ad=skip, extra=(j, r))
+            g = fjm1 / s - fj
+            evals += 1
+            if best_i is None or g > best_g:
+                best_i, best_g, best_reassign = i, g, reassign
+        if best_g > 0.0:
+            commits += 1
+            if best_reassign:
+                reassigns += 1
+                entries = [e for e in entries if e[1] != best_i]
+            bisect.insort(entries, (j, best_i, inst.reward(best_i, j)))
+            if mode is Mode.MATCHING:
+                matched_slot[best_i] = j
+    alloc = Allocation(entries=tuple((j, i) for j, i, _ in entries), mode=mode)
+    return alloc, {"gain_evals": evals, "commits": commits,
+                   "reassignments": reassigns}
+
+
+def _assert_same_as_oracle(inst, mode=Mode.MATCHING, **seed):
+    report = backwards_greedy(inst, mode=mode, **seed)
+    alloc, counters = naive_backwards_greedy(inst, mode=mode, **seed)
+    assert report.allocation.entries == alloc.entries
+    assert report.counters == counters
+
+
+def _float_instance(rng, n, m, q, density):
+    """Unrounded uniform rewards, so exact gain ties have probability 0."""
+    edges = [(i, j, rng.uniform(0.1, 10.0)) for i in range(1, n + 1)
+             for j in range(1, m + 1) if rng.random() < density]
+    return _inst(n, m, q, edges)
 
 
 def test_mapping_mode_is_exact_on_random_instances():
@@ -136,3 +224,34 @@ def test_suffix_values_are_consistent_with_final_allocation():
         for j in range(inst.num_slots + 1):
             assert final[j] == pytest.approx(
                 suffix_reward(inst, report.allocation, j), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", [Mode.MATCHING, Mode.MAPPING])
+def test_gb_equals_naive_oracle(mode):
+    rng = make_rng(27)
+    for _ in range(300):
+        inst = _float_instance(rng, rng.randint(1, 8), rng.randint(1, 12),
+                               rng.choice((0.0, 0.05, 0.1, 0.3, 0.6, 0.9)),
+                               rng.uniform(0.2, 1.0))
+        _assert_same_as_oracle(inst, mode)
+
+
+def test_seeded_sweep_equals_naive_oracle():
+    # the flow_greedy set-up: the flow's pairs are frozen and locked
+    rng = make_rng(28)
+    for _ in range(200):
+        inst = _float_instance(rng, rng.randint(1, 8), rng.randint(1, 12),
+                               rng.choice((0.05, 0.1, 0.2, 0.3)),
+                               rng.uniform(0.2, 1.0))
+        flow = flow_baseline(inst).allocation
+        _assert_same_as_oracle(inst, initial=flow.entries,
+                               frozen_slots=set(flow.slots()))
+
+
+def test_gb_equals_naive_oracle_where_discounts_underflow():
+    # 0.9 ** 8000 == 0.0 in float64: the kernel must keep sums relative
+    rng = make_rng(29)
+    inst = _float_instance(rng, 5, 8000, 0.1, 0.002)
+    assert (1.0 - inst.quit_prob) ** inst.num_slots == 0.0
+    for mode in (Mode.MATCHING, Mode.MAPPING):
+        _assert_same_as_oracle(inst, mode)

@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import csv
+import json
 
 import pytest
 
@@ -38,6 +39,24 @@ def test_solve_reports_reward_and_writes_allocation(tmp_path, capsys):
     assert "algorithm=gb" in out and "reward=" in out
     alloc = core.read_allocation(alloc_out)
     assert core.validate_allocation(inst, alloc) == []
+
+
+def test_solve_json_prints_one_report_object(tmp_path, capsys):
+    inst, path = _write_inst(tmp_path)
+    alloc_out = tmp_path / "alloc.txt"
+    code = cli.main(["solve", path, "gb", "--json", "--out-allocation",
+                     str(alloc_out)])
+    assert code == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["algorithm", "counters", "reward", "seconds",
+                              "size"]
+    alloc = core.read_allocation(alloc_out)
+    assert report["algorithm"] == "gb"
+    assert report["reward"] == core.expected_reward(inst, alloc)
+    assert report["size"] == len(alloc)
+    assert report["seconds"] >= 0.0
+    assert sorted(report["counters"]) == ["commits", "gain_evals",
+                                          "reassignments"]
 
 
 def test_solve_all_registered_algorithms(tmp_path):

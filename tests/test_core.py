@@ -3,13 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_rng, random_matching, sparse_instance
 from feedalloc.core import (Allocation, InvalidAllocationError, Mode,
-                            ProblemInstance, decompose, expected_reward,
-                            read_allocation, read_instance, suffix_reward,
-                            suffix_value, suffix_vector, validate_allocation,
-                            validate_instance, write_allocation, write_instance)
+                            ProblemInstance, SuffixTree, decompose,
+                            expected_reward, read_allocation, read_instance,
+                            suffix_reward, suffix_value, suffix_vector,
+                            validate_allocation, validate_instance,
+                            write_allocation, write_instance)
 
 
 def _inst(n, m, q, edges):
@@ -145,3 +148,46 @@ def test_candidates_and_slots_of_are_sorted():
     assert inst.candidates(2) == []
     assert inst.slots_of(1) == [1, 3]
     assert inst.has_edge(3, 1) and not inst.has_edge(3, 3)
+
+
+@st.composite
+def _tree_runs(draw):
+    """(m, q, toggles, bases): each toggle occupies a free slot with its
+    reward or frees an occupied one; slots cluster at both ends of 1..m."""
+    m = draw(st.one_of(st.integers(1, 40), st.integers(9_000, 10_000)))
+    q = draw(st.sampled_from((0.0, 0.01, 0.1, 0.3, 0.6, 0.9)))
+    slot = st.one_of(st.integers(1, min(m, 40)),
+                     st.integers(max(1, m - 40), m), st.integers(1, m))
+    toggles = draw(st.lists(st.tuples(slot, st.floats(0.0, 100.0)),
+                            max_size=80))
+    base = st.one_of(st.integers(0, min(m, 40)), st.integers(max(0, m - 40), m),
+                     st.integers(0, m))
+    bases = draw(st.lists(base, min_size=len(toggles) + 1,
+                          max_size=len(toggles) + 1))
+    return m, q, toggles, bases
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree_runs())
+def test_suffix_tree_matches_direct_fold(run):
+    m, q, toggles, bases = run
+    tree = SuffixTree(m, q)
+    occupied = {}
+
+    def check(base):
+        count, value = tree.suffix(base)
+        pairs = sorted(occupied.items())
+        assert count == sum(1 for slot in occupied if slot > base)
+        # below 1e-300 the direct fold itself works in subnormal numbers
+        assert value == pytest.approx(suffix_value(pairs, q, base),
+                                      rel=1e-12, abs=1e-300)
+
+    check(bases[0])
+    for (slot, reward), base in zip(toggles, bases[1:]):
+        if slot in occupied:
+            del occupied[slot]
+            tree.remove(slot)
+        else:
+            occupied[slot] = reward
+            tree.insert(slot, reward)
+        check(base)

@@ -29,13 +29,15 @@ def naive_prune_step(inst, alloc):
 
 def test_prune_matches_naive_step_oracle():
     rng = make_rng(61)
-    for _ in range(100):
-        inst = sparse_instance(rng)
+    for _ in range(200):
+        inst = sparse_instance(rng, n_max=8, m_max=12,
+                               q_choices=(0.0, 0.1, 0.3, 0.6, 0.9))
         alloc = random_matching(inst, rng)
-        if len(alloc) == 0:
-            continue
-        step = prune_to_k(inst, alloc, len(alloc) - 1)
-        assert step.entries == naive_prune_step(inst, alloc).entries
+        # every k: k = len - t must equal t naive removal steps
+        naive = alloc
+        for k in range(len(alloc) - 1, -1, -1):
+            naive = naive_prune_step(inst, naive)
+            assert prune_to_k(inst, alloc, k).entries == naive.entries
 
 
 def test_prune_tie_removes_highest_slot():
