@@ -19,8 +19,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import (Allocation, Mode, SolveReport, SuffixTree,
-                   expected_reward, suffix_value, suffix_vector)
+from .core import (Allocation, Mode, SolveReport, SuffixTree, entry_suffixes,
+                   expected_reward, suffix_vector)
 
 
 @dataclass
@@ -37,13 +37,9 @@ class IterationLog:
     suffix_after: tuple   # same, after
 
 
-def _snapshot(entries, q, m):
-    return tuple(suffix_vector([(j, r) for j, _, r in entries], q, m))
-
-
-def _triples(placed):
-    """(slot, ad, reward) triples of a slot -> (ad, reward) map."""
-    return [(j, i, r) for j, (i, r) in placed.items()]
+def _snapshot(pairs, q, m):
+    """(f_0(M), ..., f_m(M)) of an allocation's (slot, reward) pairs."""
+    return tuple(suffix_vector(sorted(pairs), q, m))
 
 
 def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
@@ -87,11 +83,12 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
     matching = mode is Mode.MATCHING
     tree = SuffixTree(m, q)
     powers = tree.powers
-    placed = {}           # slot -> (ad, reward)
+    rewards = {}          # slot -> reward of its entry
+    ad_at = {}            # slot -> ad of its entry
     matched_slot = {}     # ad -> slot, matching mode only
     for j, i in initial or ():
         r = inst.reward(i, j)
-        placed[j] = (i, r)
+        rewards[j], ad_at[j] = r, i
         tree.insert(j, r)
         matched_slot[i] = j
     locked = set(matched_slot)
@@ -102,7 +99,7 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
             continue
         cands = inst.candidates(j)
         if log is not None:
-            before = _snapshot(_triples(placed), q, m)
+            before = _snapshot(rewards.items(), q, m)
         if not cands:
             if log is not None:
                 log.append(IterationLog(j, (), None, float("nan"), False, False,
@@ -122,7 +119,7 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
                 after, f_sigma = tree.suffix(sigma)
                 # (1-q)^(sigma - j + p_i + 1), p_i = above - after - 1
                 g -= powers[sigma - j + above - after] \
-                    * (placed[sigma][1] - q * f_sigma)
+                    * (rewards[sigma] - q * f_sigma)
             evals += 1
             if best_i is None or g > best_g:
                 best_i, best_g, best_reassign = i, g, reassign
@@ -132,10 +129,10 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
             if best_reassign:
                 reassigns += 1
                 old = matched_slot[best_i]
-                del placed[old]
+                del rewards[old], ad_at[old]
                 tree.remove(old)
             r = inst.reward(best_i, j)
-            placed[j] = (best_i, r)
+            rewards[j], ad_at[j] = r, best_i
             tree.insert(j, r)
             if matching:
                 matched_slot[best_i] = j
@@ -143,9 +140,8 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
             log.append(IterationLog(j, tuple(cands), best_i if committed else None,
                                     best_g, committed,
                                     committed and best_reassign,
-                                    before, _snapshot(_triples(placed), q, m)))
-    alloc = Allocation(entries=tuple((j, i) for j, (i, _) in placed.items()),
-                       mode=mode)
+                                    before, _snapshot(rewards.items(), q, m)))
+    alloc = Allocation(entries=tuple(ad_at.items()), mode=mode)
     reward = expected_reward(inst, alloc)
     name = "gb" if matching else "gb-mapping"
     return SolveReport(algorithm=name, allocation=alloc, expected_reward=reward,
@@ -164,9 +160,9 @@ def nonoblivious_backwards_greedy(inst, log=None):
 
     is selected (tau_i = 0, sigma(i) = j for unmatched ads) and committed iff
     the gain lower bound  g_LB = r_ij - q f_j(M) - tau_i (1-q)^(sigma(i)-j)
-    is positive.  After a re-assignment every matched ad's tau is refreshed.
-    f_j(M) is carried incrementally across slots, so the cost is
-    O(|E| + m * |M|).
+    is positive.  f_j(M) is rolled across slots in O(1) per slot; after a
+    re-assignment it and every matched ad's tau are recomputed in one
+    ``entry_suffixes`` pass, so the cost is O(|E| + m * |M|).
     """
     t0 = time.perf_counter()
     q = inst.quit_prob
@@ -187,7 +183,7 @@ def nonoblivious_backwards_greedy(inst, log=None):
                 cur = s * cur
         cands = inst.candidates(j)
         if log is not None:
-            before = _snapshot(entries, q, m)
+            before = _snapshot(_entry_pairs(entries), q, m)
         if not cands:
             if log is not None:
                 log.append(IterationLog(j, (), None, float("nan"), False, False,
@@ -214,18 +210,21 @@ def nonoblivious_backwards_greedy(inst, log=None):
             if reassigned:
                 reassigns += 1
                 entries = [e for e in entries if e[1] != best_i]
-                # removal of the old edge changes the suffix value
-                cur = suffix_value([(slot, rr) for slot, _, rr in entries], q,
-                                   base=j)
             entries.insert(0, (j, best_i, r))
-            tau[best_i] = r - q * cur
             sigma[best_i] = j
             if reassigned:
-                _refresh_taus(entries, q, tau)
+                # removing the old edge changes f_j and every later tau
+                f = entry_suffixes(_entry_pairs(entries), q)
+                cur = f[0]
+                for (_slot, ad, rr), fp in zip(entries, f):
+                    tau[ad] = rr - q * fp
+            else:
+                tau[best_i] = r - q * cur
         if log is not None:
             log.append(IterationLog(j, tuple(cands), best_i if committed else None,
                                     g_lb, committed, reassigned,
-                                    before, _snapshot(entries, q, m)))
+                                    before,
+                                    _snapshot(_entry_pairs(entries), q, m)))
     alloc = Allocation(entries=tuple((j, i) for j, i, _ in entries),
                        mode=Mode.MATCHING)
     reward = expected_reward(inst, alloc)
@@ -235,18 +234,9 @@ def nonoblivious_backwards_greedy(inst, log=None):
                                  "reassignments": reassigns})
 
 
-def _refresh_taus(entries, q, tau):
-    """Recompute tau_i = r_{ij'} - q * f_{j'}(M) for every matched (i, j')."""
-    s = 1.0 - q
-    suffix = 0.0
-    prev_slot = None
-    # walk entries from the last slot backwards; crossing an occupied slot
-    # multiplies the suffix by an extra (1-q)
-    for slot, ad, r in reversed(entries):
-        if prev_slot is not None:
-            suffix = s ** (prev_slot - slot) * (prev_r + s * suffix)
-        tau[ad] = r - q * suffix
-        prev_slot, prev_r = slot, r
+def _entry_pairs(entries):
+    """(slot, reward) pairs of slot-sorted (slot, ad, reward) entries."""
+    return [(j, r) for j, _i, r in entries]
 
 
 def instrumented_run(algorithm, inst, **kwargs):

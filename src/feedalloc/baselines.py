@@ -8,14 +8,13 @@ baseline-internal objective value is ever trusted.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import time
 
 from . import matching
 from .algorithms import backwards_greedy
-from .core import Allocation, Mode, SolveReport, expected_reward
+from .core import Allocation, Mode, SolveReport, SuffixTree, expected_reward
 
 
 def _report(name, inst, entries, t0, counters=None, mode=Mode.MATCHING):
@@ -26,88 +25,87 @@ def _report(name, inst, entries, t0, counters=None, mode=Mode.MATCHING):
                        counters=counters or {})
 
 
-def _contributions(inst, entries):
-    """Slot-sorted entry slots plus each entry's current contribution
-    r * (1-q)^(slot + B(slot)) and the suffix sums of those contributions."""
-    s = 1.0 - inst.quit_prob
-    slots = [j for j, _ in entries]
-    contribs = [inst.reward(i, j) * s ** (j + pos)
-                for pos, (j, i) in enumerate(entries)]
-    tail = [0.0] * (len(entries) + 1)
-    for idx in range(len(entries) - 1, -1, -1):
-        tail[idx] = tail[idx + 1] + contribs[idx]
-    return slots, tail
-
-
-def marginal_gain(inst, entries, slots, tail, i, j):
-    """Exact f(M + (i,j)) - f(M) for a free ad/slot pair: the new edge's own
-    discounted reward minus q times the contributions it pushes down."""
-    s = 1.0 - inst.quit_prob
-    pos = bisect.bisect_left(slots, j)
-    return inst.reward(i, j) * s ** (j + pos) - inst.quit_prob * tail[pos]
-
-
 def global_greedy(inst, max_assignments=None):
     """Repeatedly commit the (ad, slot) pair with the largest positive exact
-    marginal gain.  A max-heap of cached bounds is kept and only the top
-    entry is re-evaluated, until its refreshed gain dominates every other
-    cached bound; gains are non-increasing over commits, so the cached
+    marginal gain.  For a free ad i and free slot j the gain is
+
+        g = (1-q)^(j + B(j)) * (r_ij - q * f_j(M)),
+
+    the new edge's own discounted reward minus the attention it takes from
+    the entries after it, with B(j) = |M| - #entries after j.  f_j(M) and
+    that count are read from a ``SuffixTree``, so a re-evaluation and a
+    commit each take O(log m).  A max-heap of cached bounds is kept and only
+    the top entry is re-evaluated, until its refreshed gain dominates every
+    other cached bound; gains are non-increasing over commits, so the cached
     values stay valid upper bounds.  Ties break to the lexicographically
     smallest (j, i).
     """
     t0 = time.perf_counter()
-    s = 1.0 - inst.quit_prob
+    q = inst.quit_prob
     limit = math.inf if max_assignments is None else max_assignments
-    entries = []          # slot-sorted (slot, ad)
+    tree = SuffixTree(inst.num_slots, q)
+    powers = tree.powers
+    entries = []
     used_ads = set()
     used_slots = set()
-    slots, tail = _contributions(inst, entries)
-    # initial gains on the empty allocation: r * (1-q)^j
-    heap = [(-(r * s ** j), j, i) for i, j, r in inst.edges]
+    # initial gains on the empty allocation: r * (1-q)^j; (j, i) is unique,
+    # so the reward carried last never decides the order
+    heap = [(-(r * powers[j]), j, i, r) for i, j, r in inst.edges]
     heapq.heapify(heap)
-    pops = reevals = commits = 0
+    pops = reevals = 0
     while heap and len(entries) < limit:
-        neg_bound, j, i = heapq.heappop(heap)
+        _neg_bound, j, i, r = heapq.heappop(heap)
         pops += 1
         if i in used_ads or j in used_slots:
             continue
-        g = marginal_gain(inst, entries, slots, tail, i, j)
+        after, fj = tree.suffix(j)
+        g = powers[j + len(entries) - after] * (r - q * fj)
         reevals += 1
-        if heap and -heap[0][0] > g:
-            # a fresher candidate may beat this one; re-cache and retry
-            heapq.heappush(heap, (-g, j, i))
+        fresh = (-g, j, i, r)
+        if heap and heap[0] < fresh:
+            # another candidate may beat this one, or tie it with a smaller
+            # (j, i); re-cache and retry
+            heapq.heappush(heap, fresh)
             continue
         if g <= 0.0:
             break
-        bisect.insort(entries, (j, i))
+        entries.append((j, i))
         used_ads.add(i)
         used_slots.add(j)
-        slots, tail = _contributions(inst, entries)
-        commits += 1
+        tree.insert(j, r)
     return _report("global", inst, entries, t0,
-                   {"pops": pops, "gain_evals": reevals, "commits": commits})
+                   {"pops": pops, "gain_evals": reevals,
+                    "commits": len(entries)})
 
 
-def forward_greedy(inst, max_assignments=None):
-    """Online greedy: process slots 1..m in order and assign the unused ad
-    with the largest (positive) reward, with no look-ahead."""
-    t0 = time.perf_counter()
+def _scan_slots(inst, threshold, max_assignments):
+    """Process slots 1..m in order; at each, the unused ad with the largest
+    reward (lowest index among ties) is committed iff that reward exceeds
+    ``threshold``.  Returns the (slot, ad) entries."""
     limit = math.inf if max_assignments is None else max_assignments
     entries = []
     used = set()
     for j in range(1, inst.num_slots + 1):
         if len(entries) >= limit:
             break
-        best_i, best_r = None, 0.0
+        best_i, best_r = None, -math.inf
         for i in inst.candidates(j):
             if i in used:
                 continue
             r = inst.reward(i, j)
             if r > best_r:
                 best_i, best_r = i, r
-        if best_i is not None:
+        if best_i is not None and best_r > threshold:
             entries.append((j, best_i))
             used.add(best_i)
+    return entries
+
+
+def forward_greedy(inst, max_assignments=None):
+    """Online greedy: process slots 1..m in order and assign the unused ad
+    with the largest (positive) reward, with no look-ahead."""
+    t0 = time.perf_counter()
+    entries = _scan_slots(inst, 0.0, max_assignments)
     return _report("forward", inst, entries, t0, {"commits": len(entries)})
 
 
@@ -122,22 +120,7 @@ def online_threshold(inst, threshold="auto", max_assignments=None):
     unused ad is assigned iff its reward exceeds the threshold."""
     t0 = time.perf_counter()
     thr = auto_threshold(inst) if threshold == "auto" else float(threshold)
-    limit = math.inf if max_assignments is None else max_assignments
-    entries = []
-    used = set()
-    for j in range(1, inst.num_slots + 1):
-        if len(entries) >= limit:
-            break
-        best_i, best_r = None, -math.inf
-        for i in inst.candidates(j):
-            if i in used:
-                continue
-            r = inst.reward(i, j)
-            if r > best_r:
-                best_i, best_r = i, r
-        if best_i is not None and best_r > thr:
-            entries.append((j, best_i))
-            used.add(best_i)
+    entries = _scan_slots(inst, thr, max_assignments)
     return _report("online", inst, entries, t0,
                    {"commits": len(entries), "threshold": thr})
 

@@ -70,9 +70,27 @@ SOLVERS = {
                                            oracle.brute_force_mapping),
 }
 
-# algorithms pruned post-hoc when a k-limit is requested in a benchmark
+# algorithms pruned post-hoc when a k-limit is requested; the others stop
+# at k commitments themselves
 PRUNED_UNDER_K = {"gb", "gb-mapping", "gbp", "mwm", "bruteforce",
                   "bruteforce-mapping"}
+
+
+def run_solver(inst, algorithm, k=None, threshold="auto"):
+    """Run one registered solver under an optional k-limit, which it takes
+    natively or, for PRUNED_UNDER_K, by ``prune_to_k`` after the run.  The
+    report keeps the solver's wall time and counters; its reward is the
+    pruned allocation's."""
+    pruned = k is not None and algorithm in PRUNED_UNDER_K
+    report = SOLVERS[algorithm](inst, threshold=threshold,
+                                k=None if pruned else k)
+    if not pruned:
+        return report
+    alloc = postprocess.prune_to_k(inst, report.allocation, k)
+    return SolveReport(algorithm=report.algorithm, allocation=alloc,
+                       expected_reward=core.expected_reward(inst, alloc),
+                       wall_time=report.wall_time, counters=report.counters)
+
 
 DEFAULT_SCHEMES = ["symmetric", "finely_targeted", "heavy_top", "heavy_bottom"]
 DEFAULT_ALGORITHMS = ["gb", "gbp", "global", "flowg", "flow", "mwm", "forward",
@@ -153,17 +171,11 @@ def cmd_solve(args):
         print("invalid instance: " + "; ".join(problems), file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        report = SOLVERS[args.algorithm](inst, threshold=args.threshold,
-                                         k=args.k)
+        report = run_solver(inst, args.algorithm, k=args.k,
+                            threshold=args.threshold)
     except oracle.OracleGuardError as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return EXIT_GUARD
-    if args.k is not None and args.algorithm in PRUNED_UNDER_K:
-        pruned = postprocess.prune_to_k(inst, report.allocation, args.k)
-        report = SolveReport(algorithm=report.algorithm, allocation=pruned,
-                             expected_reward=core.expected_reward(inst, pruned),
-                             wall_time=report.wall_time,
-                             counters=report.counters)
     if args.json:
         print(json.dumps({"algorithm": report.algorithm,
                           "reward": report.expected_reward,
@@ -204,17 +216,11 @@ def run_bench(schemes, algorithms, seeds, n, m, q, k=None, time_limit=3600.0):
                                       _num(q))
             for algorithm in algorithms:
                 t0 = time.perf_counter()
-                opts = {}
-                if k is not None and algorithm not in PRUNED_UNDER_K:
-                    opts["k"] = k
                 try:
-                    report = SOLVERS[algorithm](inst, **opts)
+                    report = run_solver(inst, algorithm, k=k)
                 except oracle.OracleGuardError:
-                    status, alloc = "refused", None
+                    status, report = "refused", None
                 else:
-                    alloc = report.allocation
-                    if k is not None and algorithm in PRUNED_UNDER_K:
-                        alloc = postprocess.prune_to_k(inst, alloc, k)
                     status = "ok"
                 elapsed = time.perf_counter() - t0
                 if status == "ok" and elapsed > time_limit:
@@ -228,8 +234,8 @@ def run_bench(schemes, algorithms, seeds, n, m, q, k=None, time_limit=3600.0):
                     "k": "" if k is None else k,
                     "algorithm": algorithm,
                     "reward": "" if status != "ok"
-                              else _num(core.expected_reward(inst, alloc)),
-                    "size": "" if alloc is None else len(alloc),
+                              else _num(report.expected_reward),
+                    "size": "" if report is None else len(report.allocation),
                     "seconds": _num(elapsed),
                     "seed": seed,
                     "status": status,

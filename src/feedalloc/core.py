@@ -11,6 +11,16 @@ The expected reward of an allocation M is
 
 where B(j) is the number of occupied slots strictly before j: the user must
 survive j item-views plus B(j) ad-views to reach the ad at slot j.
+
+Three evaluators compute f and its suffix values f_j(M), each with one job:
+
+- ``suffix_value``: the direct fold.  It is the reference behind
+  ``expected_reward``, ``suffix_reward`` and the brute-force oracles.
+- ``SuffixTree``: incremental insert, remove and query in O(log m), for the
+  solvers that grow an allocation (``backwards_greedy``, ``global_greedy``).
+- ``entry_suffixes``: f_j(M) at every occupied slot in one backward pass,
+  for ``nonoblivious_backwards_greedy`` after a re-assignment,
+  ``prune_to_k``, ``suffix_vector`` and ``decompose``.
 """
 
 from __future__ import annotations
@@ -265,20 +275,35 @@ def suffix_reward(inst, alloc, j):
     return suffix_value(_reward_pairs(inst, alloc), inst.quit_prob, base=j)
 
 
-def suffix_vector(pairs, q, m):
-    """All suffix values [R_0, ..., R_m] in one backward recursion:
-    R_j = (1-q) * (R_{j+1} + [slot j+1 occupied] * (r_{j+1} - q * R_{j+1})).
-    """
-    by_slot = dict(pairs)
-    out = [0.0] * (m + 1)
+def entry_suffixes(pairs, q):
+    """f_{slot_p}(M) for every entry p of slot-sorted (slot, reward) pairs,
+    in one backward pass:
+
+        f_p = (1-q)^(slot_{p+1} - slot_p) * (r_{p+1} + (1-q) * f_{p+1}),
+
+    with f = 0 at the last entry.  Each value is relative to its own slot,
+    so none underflows where ``suffix_value`` at that base does not."""
     s = 1.0 - q
-    for j in range(m - 1, -1, -1):
-        nxt = out[j + 1]
-        r = by_slot.get(j + 1)
-        if r is None:
-            out[j] = s * nxt
-        else:
-            out[j] = s * (nxt + (r - q * nxt))
+    out = [0.0] * len(pairs)
+    for p in range(len(pairs) - 2, -1, -1):
+        next_slot, next_r = pairs[p + 1]
+        out[p] = s ** (next_slot - pairs[p][0]) * (next_r + s * out[p + 1])
+    return out
+
+
+def suffix_vector(pairs, q, m):
+    """All suffix values [f_0, ..., f_m] of slot-sorted (slot, reward)
+    pairs: with p the first entry after j,
+    f_j = (1-q)^(slot_p - j) * (r_p + (1-q) * f_{slot_p}), and 0 past the
+    last entry."""
+    s = 1.0 - q
+    out = [0.0] * (m + 1)
+    j = 0
+    for (slot, r), f in zip(pairs, entry_suffixes(pairs, q)):
+        head = r + s * f
+        while j < slot:
+            out[j] = s ** (slot - j) * head
+            j += 1
     return out
 
 
@@ -287,8 +312,8 @@ def decompose(inst, alloc, j):
 
         R_j = sum_{j' > j} (1-q)^(j'-j) * [slot j' occupied] * (r_{e_j'} - q R_{j'})
 
-    The R_{j'} values are produced by the backward recursion, so summing the
-    returned terms gives an independent reconstruction of suffix_reward.
+    The R_{j'} values come from ``entry_suffixes``, so summing the returned
+    terms gives an independent reconstruction of suffix_reward.
     """
     _check(inst, alloc)
     if not (0 <= j <= inst.num_slots):
@@ -296,16 +321,11 @@ def decompose(inst, alloc, j):
     q = inst.quit_prob
     s = 1.0 - q
     pairs = _reward_pairs(inst, alloc)
-    rewards = dict(pairs)
-    rvec = suffix_vector(pairs, q, inst.num_slots)
-    terms = []
-    for jp in range(j + 1, inst.num_slots + 1):
-        r = rewards.get(jp)
-        occupied = r is not None
-        tau = (r - q * rvec[jp]) if occupied else 0.0
-        terms.append(DecompositionTerm(slot=jp, occupied=occupied, tau=tau,
-                                       discount=s ** (jp - j)))
-    return terms
+    taus = {slot: r - q * f
+            for (slot, r), f in zip(pairs, entry_suffixes(pairs, q))}
+    return [DecompositionTerm(slot=jp, occupied=jp in taus,
+                              tau=taus.get(jp, 0.0), discount=s ** (jp - j))
+            for jp in range(j + 1, inst.num_slots + 1)]
 
 
 # ---------------------------------------------------------------------------

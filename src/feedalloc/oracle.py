@@ -82,7 +82,6 @@ def brute_force_mapping(inst):
     if inst.num_slots > MAX_BF_SLOTS:
         raise OracleGuardError("brute-force mapping limited to m <= %d slots, "
                                "got %d" % (MAX_BF_SLOTS, inst.num_slots))
-    s = 1.0 - inst.quit_prob
     best_edge = {}  # slot -> (reward, ad); ties keep the lowest ad index
     for i, j, r in inst.edges:
         cur = best_edge.get(j)
@@ -91,12 +90,9 @@ def brute_force_mapping(inst):
     slots = sorted(best_edge)
     best_value, best_mask = 0.0, 0
     for mask in range(1 << len(slots)):
-        value = 0.0
-        count = 0
-        for idx, j in enumerate(slots):
-            if mask >> idx & 1:
-                value += best_edge[j][0] * s ** (j + count)
-                count += 1
+        pairs = [(j, best_edge[j][0]) for idx, j in enumerate(slots)
+                 if mask >> idx & 1]
+        value = suffix_value(pairs, inst.quit_prob)
         if value > best_value:
             best_value, best_mask = value, mask
     entries = [(j, best_edge[j][1]) for idx, j in enumerate(slots)

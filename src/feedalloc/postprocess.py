@@ -9,7 +9,7 @@ commitments, through their ``max_assignments`` argument.
 
 from __future__ import annotations
 
-from .core import Allocation, expected_reward
+from .core import Allocation, entry_suffixes, expected_reward
 
 
 def prune_to_k(inst, alloc, k):
@@ -21,27 +21,25 @@ def prune_to_k(inst, alloc, k):
         (1-q)^(j_p + p) * (r_p - q * f_{j_p}(M)),
 
     its own contribution minus the attention it held back from the entries
-    after it.  One backward pass scores every entry, so the cost is
-    O(|M|^2) over all removals.
+    after it.  One ``entry_suffixes`` pass scores every entry, so the cost
+    is O(|M|^2) over all removals.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     expected_reward(inst, alloc)  # raises on an invalid allocation
     q = inst.quit_prob
     s = 1.0 - q
-    entries = [(j, i, inst.reward(i, j)) for j, i in alloc.entries]
-    while len(entries) > k:
+    pairs = [(j, inst.reward(i, j)) for j, i in alloc.entries]
+    ads = alloc.ads()
+    while len(pairs) > k:
+        f = entry_suffixes(pairs, q)
         best_idx, best_loss = None, None
-        suffix = 0.0          # f_{slot}(M) of the entry being scored
         # descending slot order so ties keep the first (highest) slot seen
-        for idx in range(len(entries) - 1, -1, -1):
-            slot, _ad, r = entries[idx]
-            if idx + 1 < len(entries):
-                next_slot, _, next_r = entries[idx + 1]
-                suffix = s ** (next_slot - slot) * (next_r + s * suffix)
-            loss = s ** (slot + idx) * (r - q * suffix)
+        for idx in range(len(pairs) - 1, -1, -1):
+            slot, r = pairs[idx]
+            loss = s ** (slot + idx) * (r - q * f[idx])
             if best_loss is None or loss < best_loss:
                 best_idx, best_loss = idx, loss
-        entries.pop(best_idx)
-    return Allocation(entries=tuple((j, i) for j, i, _ in entries),
+        del pairs[best_idx], ads[best_idx]
+    return Allocation(entries=tuple((j, i) for (j, _r), i in zip(pairs, ads)),
                       mode=alloc.mode)

@@ -71,6 +71,30 @@ def test_solve_with_k_prunes(tmp_path, capsys):
     assert "size=1" in capsys.readouterr().out
 
 
+def test_solve_and_bench_apply_k_alike(tmp_path, capsys):
+    # solve and bench share one policy for passing k natively or pruning
+    inst_path = tmp_path / "inst.txt"
+    config = ["--scheme", "heavy_top", "--n", "5", "--m", "8", "--q", "0.1",
+              "--seed", "2"]
+    assert cli.main(["gen"] + config + ["--out", str(inst_path)]) \
+        == cli.EXIT_OK
+    names = [name for name in cli.SOLVERS if not name.startswith("bruteforce")]
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--schemes", "heavy_top", "--algorithms",
+                     ",".join(names), "--seeds", "2", "--n", "5", "--m", "8",
+                     "--q", "0.1", "--k", "3", "--out", str(out)]) \
+        == cli.EXIT_OK
+    with open(out, newline="") as fh:
+        bench = {row["algorithm"]: row for row in csv.DictReader(fh)}
+    capsys.readouterr()
+    for name in names:
+        assert cli.main(["solve", str(inst_path), name, "--k", "3",
+                         "--json"]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert cli._num(report["reward"]) == bench[name]["reward"], name
+        assert report["size"] == int(bench[name]["size"])
+
+
 def test_solve_invalid_instance_exits_2(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2 1.5\n1 1 1.0\n")

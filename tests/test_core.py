@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from conftest import make_rng, random_matching, sparse_instance
 from feedalloc.core import (Allocation, InvalidAllocationError, Mode,
                             ProblemInstance, SuffixTree, decompose,
-                            expected_reward, read_allocation, read_instance,
-                            suffix_reward, suffix_value, suffix_vector,
-                            validate_allocation, validate_instance,
-                            write_allocation, write_instance)
+                            entry_suffixes, expected_reward, read_allocation,
+                            read_instance, suffix_reward, suffix_value,
+                            suffix_vector, validate_allocation,
+                            validate_instance, write_allocation,
+                            write_instance)
 
 
 def _inst(n, m, q, edges):
@@ -174,13 +175,21 @@ def test_suffix_tree_matches_direct_fold(run):
     tree = SuffixTree(m, q)
     occupied = {}
 
+    def close_to_fold(value, pairs, base):
+        # below 1e-300 the direct fold itself works in subnormal numbers
+        return value == pytest.approx(suffix_value(pairs, q, base),
+                                      rel=1e-12, abs=1e-300)
+
     def check(base):
         count, value = tree.suffix(base)
         pairs = sorted(occupied.items())
         assert count == sum(1 for slot in occupied if slot > base)
-        # below 1e-300 the direct fold itself works in subnormal numbers
-        assert value == pytest.approx(suffix_value(pairs, q, base),
-                                      rel=1e-12, abs=1e-300)
+        assert close_to_fold(value, pairs, base)
+        for (slot, _r), f in zip(pairs, entry_suffixes(pairs, q)):
+            assert close_to_fold(f, pairs, slot)
+        if m <= 40:
+            for j, f in enumerate(suffix_vector(pairs, q, m)):
+                assert close_to_fold(f, pairs, j)
 
     check(bases[0])
     for (slot, reward), base in zip(toggles, bases[1:]):
