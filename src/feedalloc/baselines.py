@@ -147,13 +147,13 @@ def flow_cardinality(q, n, m):
     return int(math.floor((1.0 - q) / q))
 
 
-def flow_baseline(inst, k_limit=None):
-    """Cardinality-constrained static-weight matching: at most k(q) ads
-    (optionally further capped by ``k_limit``), via a capped matching."""
+def flow_baseline(inst, max_assignments=None):
+    """Cardinality-constrained static-weight matching: at most k(q) ads, or
+    ``max_assignments`` if fewer, via a capped matching."""
     t0 = time.perf_counter()
     k = flow_cardinality(inst.quit_prob, inst.num_ads, inst.num_slots)
-    if k_limit is not None:
-        k = min(k, k_limit)
+    if max_assignments is not None:
+        k = min(k, max_assignments)
     if k <= 0:
         return _report("flow", inst, [], t0, {"cardinality_cap": k})
     pairs, _w = matching.constrained_max_weight_matching(_static_weights(inst), k)
@@ -162,7 +162,7 @@ def flow_baseline(inst, k_limit=None):
                    {"cardinality_cap": k, "matched": len(entries)})
 
 
-def flow_greedy(inst, k_limit=None):
+def flow_greedy(inst):
     """Flow baseline followed by the exact-gain backward greedy sweep over
     the slots the flow left unmatched.  The flow-phase assignments are kept
     fixed (their ads are off-limits to the sweep); ads the sweep itself adds
@@ -170,7 +170,7 @@ def flow_greedy(inst, k_limit=None):
     to plain backwards greedy.
     """
     t0 = time.perf_counter()
-    base = flow_baseline(inst, k_limit=k_limit)
+    base = flow_baseline(inst)
     sweep = backwards_greedy(inst, mode=Mode.MATCHING,
                              initial=base.allocation.entries,
                              frozen_slots=set(base.allocation.slots()))

@@ -1,15 +1,16 @@
 """Command-line front end: generate instances, run solvers, verify
 allocations, simulate sessions, and run benchmark suites to CSV.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure (including a
-malformed or missing input file), 3 oracle guard refusal.  ``bench
---time-limit`` does not stop a run; it only marks an over-long row
-``timeout``.
+Exit codes: 0 success; 1 usage error, e.g. a negative ``--n`` or a generator
+parameter the generator refuses; 2 an invalid instance (read, or generated
+from e.g. q >= 1) or allocation, or a malformed or missing input file or
+suite file; 3 oracle guard refusal.  ``bench --time-limit`` never stops a run.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import json
 import statistics
@@ -42,8 +43,8 @@ def _num(x):
     return "%.12g" % x
 
 
-def _wrap_bruteforce(name, fn):
-    def run(inst, **_opts):
+def _bruteforce(name, fn):
+    def run(inst, _k, _threshold):
         t0 = time.perf_counter()
         alloc, _value = fn(inst)
         return SolveReport(algorithm=name, allocation=alloc,
@@ -52,40 +53,34 @@ def _wrap_bruteforce(name, fn):
     return run
 
 
+# name -> (run(inst, k, threshold), takes_k).  A solver that takes k stops at
+# k entries itself (``max_assignments``); any other is pruned to k after it.
 SOLVERS = {
-    "gb": lambda inst, **o: backwards_greedy(inst, mode=Mode.MATCHING),
-    "gb-mapping": lambda inst, **o: backwards_greedy(inst, mode=Mode.MAPPING),
-    "gbp": lambda inst, **o: nonoblivious_backwards_greedy(inst),
-    "global": lambda inst, **o: baselines.global_greedy(
-        inst, max_assignments=o.get("k")),
-    "forward": lambda inst, **o: baselines.forward_greedy(
-        inst, max_assignments=o.get("k")),
-    "online": lambda inst, **o: baselines.online_threshold(
-        inst, threshold=o.get("threshold", "auto"), max_assignments=o.get("k")),
-    "mwm": lambda inst, **o: baselines.mwm_baseline(inst),
-    "flow": lambda inst, **o: baselines.flow_baseline(inst, k_limit=o.get("k")),
-    "flowg": lambda inst, **o: baselines.flow_greedy(inst, k_limit=o.get("k")),
-    "bruteforce": _wrap_bruteforce("bruteforce", oracle.brute_force_matching),
-    "bruteforce-mapping": _wrap_bruteforce("bruteforce-mapping",
-                                           oracle.brute_force_mapping),
+    "gb": (lambda inst, k, t: backwards_greedy(inst, Mode.MATCHING), False),
+    "gb-mapping": (lambda inst, k, t: backwards_greedy(inst, Mode.MAPPING),
+                   False),
+    "gbp": (lambda inst, k, t: nonoblivious_backwards_greedy(inst), False),
+    "global": (lambda inst, k, t: baselines.global_greedy(inst, k), True),
+    "forward": (lambda inst, k, t: baselines.forward_greedy(inst, k), True),
+    "online": (lambda inst, k, t: baselines.online_threshold(inst, t, k), True),
+    "mwm": (lambda inst, k, t: baselines.mwm_baseline(inst), False),
+    "flow": (lambda inst, k, t: baselines.flow_baseline(inst, k), True),
+    "flowg": (lambda inst, k, t: baselines.flow_greedy(inst), False),
+    "bruteforce": (_bruteforce("bruteforce", oracle.brute_force_matching),
+                   False),
+    "bruteforce-mapping": (_bruteforce("bruteforce-mapping",
+                                       oracle.brute_force_mapping), False),
 }
-
-# algorithms pruned post-hoc when a k-limit is requested; the others stop
-# at k commitments themselves
-PRUNED_UNDER_K = {"gb", "gb-mapping", "gbp", "mwm", "bruteforce",
-                  "bruteforce-mapping"}
 
 
 def run_solver(inst, algorithm, k=None, threshold="auto"):
     """Run one registered solver under an optional k-limit, which it takes
-    natively or, for PRUNED_UNDER_K, by ``prune_to_k`` after the run.  The
-    report keeps the solver's wall time and counters; its reward is the
-    pruned allocation's."""
-    pruned = k is not None and algorithm in PRUNED_UNDER_K
-    report = SOLVERS[algorithm](inst, threshold=threshold,
-                                k=None if pruned else k)
-    if not pruned:
-        return report
+    natively or by ``prune_to_k`` after the run.  The report keeps the
+    solver's wall time and counters; its reward is the pruned allocation's."""
+    run, takes_k = SOLVERS[algorithm]
+    if k is None or takes_k:
+        return run(inst, k, threshold)
+    report = run(inst, None, threshold)
     alloc = postprocess.prune_to_k(inst, report.allocation, k)
     return SolveReport(algorithm=report.algorithm, allocation=alloc,
                        expected_reward=core.expected_reward(inst, alloc),
@@ -97,57 +92,92 @@ DEFAULT_ALGORITHMS = ["gb", "gbp", "global", "flowg", "flow", "mwm", "forward",
                    "online"]
 
 
+def _count(text):
+    """argparse type: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError("not a non-negative integer: %r" % text)
+    return int(text)
+
+
+def _names(known):
+    """argparse type: comma-separated names, each one of ``known``."""
+    def names(text):
+        unknown = set(text.split(",")).difference(known)
+        if unknown:
+            raise argparse.ArgumentTypeError("unknown: %s" % ", ".join(unknown))
+        return text.split(",")
+    return names
+
+
 def build_parser():
     parser = _Parser(prog="feedalloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--scheme", required=True, choices=generators.SCHEMES)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--m", type=int, default=1000)
+    p.add_argument("--n", type=_count, default=100)
+    p.add_argument("--m", type=_count, default=1000)
     p.add_argument("--q", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_count, default=1)
     p.add_argument("--C", type=float, default=None,
                    help="large reward of the adversarial scheme")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_gen)
 
     p = sub.add_parser("solve", help="run one solver on an instance file")
     p.add_argument("instance")
     p.add_argument("algorithm", choices=sorted(SOLVERS))
     p.add_argument("--threshold", default="auto")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_count, default=None)
     p.add_argument("--out-allocation", default=None)
     p.add_argument("--json", action="store_true",
                    help="print the report as one JSON object")
+    p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("bench", help="run a benchmark suite to CSV")
     p.add_argument("--suite", default=None,
-                   help="built-in suite name (default) or a key=value config file")
-    p.add_argument("--schemes", default=None, help="comma-separated schemes")
-    p.add_argument("--algorithms", default=None)
-    p.add_argument("--seeds", default="1,2,3")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--m", type=int, default=1000)
+                   help="built-in suite name (default) or a key=value file "
+                        "of flag values, which flags given here override")
+    p.add_argument("--schemes", type=_names(generators.SCHEMES), default=None,
+                   help="comma-separated schemes")
+    p.add_argument("--algorithms", type=_names(sorted(SOLVERS)), default=None)
+    p.add_argument("--seeds", default="1,2,3",
+                   type=lambda text: [_count(x) for x in text.split(",")])
+    p.add_argument("--n", type=_count, default=100)
+    p.add_argument("--m", type=_count, default=1000)
     p.add_argument("--q", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_count, default=None)
     p.add_argument("--time-limit", type=float, default=3600.0,
                    help="soft per-run wall-clock limit in seconds")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-out", default=None)
+    p.set_defaults(run=cmd_bench, parser=p)
 
     p = sub.add_parser("verify", help="validate an allocation against an instance")
     p.add_argument("instance")
     p.add_argument("allocation")
     p.add_argument("--mode", choices=["matching", "mapping"], default="matching")
     p.add_argument("--simulate", type=int, default=0)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_count, default=1)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("slots-cdf",
                        help="cumulative slot-index distribution of allocations")
     p.add_argument("instance")
     p.add_argument("allocations", nargs="+")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_slots_cdf)
     return parser
+
+
+def _generate(config):
+    """generators.generate, with a parameter it refuses as a usage error."""
+    try:
+        return generators.generate(config)
+    except core.InvalidInstanceError:
+        raise
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_gen(args):
@@ -155,7 +185,7 @@ def cmd_gen(args):
                                         q=args.q, seed=args.seed)
     if args.C is not None:
         config.params["C"] = args.C
-    inst = generators.generate(config)
+    inst = _generate(config)
     core.write_instance(inst, args.out)
     print("wrote %s: n=%d m=%d q=%s |E|=%d" % (args.out, inst.num_ads,
                                                inst.num_slots,
@@ -166,10 +196,6 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     inst = core.read_instance(args.instance)
-    problems = core.validate_instance(inst)
-    if problems:
-        print("invalid instance: " + "; ".join(problems), file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         report = run_solver(inst, args.algorithm, k=args.k,
                             threshold=args.threshold)
@@ -191,15 +217,24 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _read_suite_config(path):
+def _suite_defaults(path, parser):
+    """A key=value suite file's values, each converted by the type of the
+    bench flag of that name; any other key or a bad value is a FormatError."""
+    types = {a.dest: a.type or str for a in parser._actions
+             if a.dest not in ("help", "suite", "out", "summary_out")}
     values = {}
     with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
+        for lineno, ln in enumerate(fh, 1):
+            key, _, value = (x.strip() for x in ln.partition("="))
+            if not ln.strip() or key.startswith("#"):
                 continue
-            key, _, value = ln.partition("=")
-            values[key.strip()] = value.strip()
+            if key not in types:
+                raise core.FormatError("%s:%d: unknown key %r" % (path, lineno, key))
+            try:
+                values[key] = types[key](value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise core.FormatError("%s:%d: %s: %s"
+                                       % (path, lineno, key, exc)) from None
     return values
 
 
@@ -211,7 +246,7 @@ def run_bench(schemes, algorithms, seeds, n, m, q, k=None, time_limit=3600.0):
         for seed in seeds:
             config = generators.GeneratorConfig(scheme=scheme, n=n, m=m, q=q,
                                                 seed=seed)
-            inst = generators.generate(config)
+            inst = _generate(config)
             tag = "%s-n%d-m%d-q%s" % (scheme, inst.num_ads, inst.num_slots,
                                       _num(q))
             for algorithm in algorithms:
@@ -226,19 +261,13 @@ def run_bench(schemes, algorithms, seeds, n, m, q, k=None, time_limit=3600.0):
                 if status == "ok" and elapsed > time_limit:
                     status = "timeout"
                 rows.append({
-                    "dataset": tag,
-                    "scheme": scheme,
-                    "n": inst.num_ads,
-                    "m": inst.num_slots,
-                    "q": _num(q),
-                    "k": "" if k is None else k,
-                    "algorithm": algorithm,
+                    "dataset": tag, "scheme": scheme, "n": inst.num_ads,
+                    "m": inst.num_slots, "q": _num(q),
+                    "k": "" if k is None else k, "algorithm": algorithm,
                     "reward": "" if status != "ok"
                               else _num(report.expected_reward),
                     "size": "" if report is None else len(report.allocation),
-                    "seconds": _num(elapsed),
-                    "seed": seed,
-                    "status": status,
+                    "seconds": _num(elapsed), "seed": seed, "status": status,
                 })
     return rows
 
@@ -248,14 +277,12 @@ def write_bench_csv(rows, out, summary_out=None):
         writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-    if summary_out is None:
-        summary_out = out + ".summary.csv"
+    summary_out = summary_out or out + ".summary.csv"
     groups = {}
     for row in rows:
-        if row["status"] != "ok":
-            continue
-        groups.setdefault((row["scheme"], row["algorithm"]), []).append(
-            float(row["reward"]))
+        if row["status"] == "ok":
+            groups.setdefault((row["scheme"], row["algorithm"]), []).append(
+                float(row["reward"]))
     with open(summary_out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "algorithm", "runs", "mean_reward",
@@ -268,34 +295,10 @@ def write_bench_csv(rows, out, summary_out=None):
 
 
 def cmd_bench(args):
-    schemes = DEFAULT_SCHEMES
-    algorithms = DEFAULT_ALGORITHMS
-    n, m, q, k = args.n, args.m, args.q, args.k
-    seeds = [int(x) for x in args.seeds.split(",") if x]
-    time_limit = args.time_limit
-    if args.suite and args.suite != "default":
-        config = _read_suite_config(args.suite)
-        schemes = config.get("schemes", ",".join(schemes)).split(",")
-        algorithms = config.get("algorithms", ",".join(algorithms)).split(",")
-        seeds = [int(x) for x in config.get("seeds", args.seeds).split(",")]
-        n = int(config.get("n", n))
-        m = int(config.get("m", m))
-        q = float(config.get("q", q))
-        if "k" in config:
-            k = int(config["k"])
-        time_limit = float(config.get("time_limit", time_limit))
-    if args.schemes:
-        schemes = args.schemes.split(",")
-    if args.algorithms:
-        algorithms = args.algorithms.split(",")
-    for name in algorithms:
-        if name not in SOLVERS:
-            raise UsageError("unknown algorithm %r" % name)
-    for scheme in schemes:
-        if scheme not in generators.SCHEMES:
-            raise UsageError("unknown scheme %r" % scheme)
-    rows = run_bench(schemes, algorithms, seeds, n, m, q, k=k,
-                     time_limit=time_limit)
+    rows = run_bench(args.schemes or DEFAULT_SCHEMES,
+                     args.algorithms or DEFAULT_ALGORITHMS, args.seeds,
+                     args.n, args.m, args.q, k=args.k,
+                     time_limit=args.time_limit)
     summary = write_bench_csv(rows, args.out, args.summary_out)
     print("wrote %d rows to %s (summary: %s)" % (len(rows), args.out, summary))
     return EXIT_OK
@@ -303,12 +306,7 @@ def cmd_bench(args):
 
 def cmd_verify(args):
     inst = core.read_instance(args.instance)
-    problems = core.validate_instance(inst)
-    if problems:
-        print("invalid instance: " + "; ".join(problems), file=sys.stderr)
-        return EXIT_VALIDATION
-    mode = Mode.MATCHING if args.mode == "matching" else Mode.MAPPING
-    alloc = core.read_allocation(args.allocation, mode=mode)
+    alloc = core.read_allocation(args.allocation, mode=Mode(args.mode))
     problems = core.validate_allocation(inst, alloc)
     if problems:
         print("invalid allocation: " + "; ".join(problems), file=sys.stderr)
@@ -343,33 +341,27 @@ def cmd_slots_cdf(args):
                 print("warning: %s is empty, no CDF emitted" % path,
                       file=sys.stderr)
                 continue
-            idx = 0
             for j in range(1, m + 1):
-                while idx < len(slots) and slots[idx] <= j:
-                    idx += 1
-                writer.writerow([path, j, _num(idx / len(slots))])
+                writer.writerow([path, j, _num(bisect.bisect_right(slots, j)
+                                               / len(slots))])
     print("wrote %s" % args.out)
     return EXIT_OK
-
-
-COMMANDS = {
-    "gen": cmd_gen,
-    "solve": cmd_solve,
-    "bench": cmd_bench,
-    "verify": cmd_verify,
-    "slots-cdf": cmd_slots_cdf,
-}
 
 
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return COMMANDS[args.command](args)
+        if args.command == "bench" and args.suite not in (None, "default"):
+            # the file's values become the defaults the command line overrides
+            args.parser.set_defaults(**_suite_defaults(args.suite, args.parser))
+            args = parser.parse_args(argv)
+        return args.run(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, core.FormatError) as exc:
+    except (FileNotFoundError, core.FormatError,
+            core.InvalidInstanceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

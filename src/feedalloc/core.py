@@ -35,13 +35,22 @@ class Mode(Enum):
     MATCHING = "matching"
 
 
+class InvalidInstanceError(ValueError):
+    """An input the model forbids; the message lists every problem."""
+
+
+def _is_count(x):
+    return x >= 0 and x % 1 == 0
+
+
 @dataclass
 class ProblemInstance:
     """Immutable problem input. Do not mutate after construction.
 
     Ads are indexed 1..num_ads, slots 1..num_slots.  ``edges`` holds
     (ad, slot, reward) triples; the slot set of ad i is the set of slots
-    it has an edge to.
+    it has an edge to.  Construction raises ``InvalidInstanceError`` on
+    any input ``_instance_problems`` names, so no invalid instance exists.
     """
 
     num_ads: int
@@ -50,17 +59,20 @@ class ProblemInstance:
     edges: tuple = ()
 
     def __post_init__(self):
+        n, m, inf = self.num_ads, self.num_slots, math.inf
         self.edges = tuple((int(i), int(j), float(r)) for i, j, r in self.edges)
         self._reward = {(i, j): r for i, j, r in self.edges}
         self._by_slot = {}
-        self._by_ad = {}
+        ok = len(self._reward) == len(self.edges)  # no repeated pair
         for i, j, r in self.edges:
             self._by_slot.setdefault(j, []).append(i)
-            self._by_ad.setdefault(i, []).append(j)
+            ok = ok and 1 <= i <= n and 1 <= j <= m and 0.0 <= r < inf
         for ads in self._by_slot.values():
             ads.sort()
-        for slots in self._by_ad.values():
-            slots.sort()
+        if not (ok and 0.0 <= self.quit_prob < 1.0 and _is_count(n)
+                and _is_count(m)):
+            raise InvalidInstanceError(
+                "invalid instance: " + "; ".join(_instance_problems(self)))
 
     def reward(self, ad, slot):
         return self._reward[(ad, slot)]
@@ -71,9 +83,6 @@ class ProblemInstance:
     def candidates(self, slot):
         """Ads with an edge to ``slot``, in increasing ad index."""
         return self._by_slot.get(slot, [])
-
-    def slots_of(self, ad):
-        return self._by_ad.get(ad, [])
 
 
 @dataclass
@@ -119,13 +128,13 @@ class SolveReport:
     counters: dict = field(default_factory=dict)
 
 
-def validate_instance(inst):
-    """Return a list of invariant violations (empty list means ok)."""
-    problems = []
-    if inst.num_ads < 0 or int(inst.num_ads) != inst.num_ads:
-        problems.append("num_ads must be a non-negative integer")
-    if inst.num_slots < 0 or int(inst.num_slots) != inst.num_slots:
-        problems.append("num_slots must be a non-negative integer")
+def _instance_problems(inst):
+    """Every invariant ``inst`` breaks: non-negative integer num_ads and
+    num_slots, 0 <= quit_prob < 1, no repeated (ad, slot) pair, indices in
+    range, finite non-negative rewards."""
+    problems = ["%s must be a non-negative integer" % name
+                for name in ("num_ads", "num_slots")
+                if not _is_count(getattr(inst, name))]
     if not (0.0 <= inst.quit_prob < 1.0):
         problems.append("quit_prob out of range [0, 1): %r" % (inst.quit_prob,))
     seen = set()
@@ -137,7 +146,7 @@ def validate_instance(inst):
             problems.append("edge (%d, %d): ad index out of range" % (i, j))
         if not (1 <= j <= inst.num_slots):
             problems.append("edge (%d, %d): slot index out of range" % (i, j))
-        if not (r >= 0.0 and math.isfinite(r)):
+        if not (0.0 <= r < math.inf):
             problems.append("edge (%d, %d): reward %r invalid" % (i, j, r))
     return problems
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Mode, suffix_value, validate_allocation
+from .core import Allocation, Mode, _check, suffix_value
 
 
 class OracleGuardError(ValueError):
@@ -144,9 +144,7 @@ def simulate_sessions(inst, alloc, sessions, seed, chunk=SIM_CHUNK):
     """
     if sessions < 1:
         raise ValueError("sessions must be >= 1")
-    problems = validate_allocation(inst, alloc)
-    if problems:
-        raise ValueError("; ".join(problems))
+    _check(inst, alloc)
     q = inst.quit_prob
     positions = np.array([j + b + 1 for b, (j, _i) in enumerate(alloc.entries)],
                          dtype=np.int64)

@@ -27,7 +27,6 @@ def test_gen_writes_readable_instance(tmp_path, capsys):
     assert "n=4 m=6" in capsys.readouterr().out
     inst = core.read_instance(out)
     assert inst.num_ads == 4 and inst.num_slots == 6
-    assert core.validate_instance(inst) == []
 
 
 def test_solve_reports_reward_and_writes_allocation(tmp_path, capsys):
@@ -93,12 +92,27 @@ def test_solve_and_bench_apply_k_alike(tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         assert cli._num(report["reward"]) == bench[name]["reward"], name
         assert report["size"] == int(bench[name]["size"])
+        assert report["size"] <= 3, name
 
 
 def test_solve_invalid_instance_exits_2(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2 1.5\n1 1 1.0\n")
     assert cli.main(["solve", str(bad), "gb"]) == cli.EXIT_VALIDATION
+
+
+def test_invalid_instance_from_gen_or_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert cli.main(["gen", "--scheme", "symmetric", "--n", "3", "--m", "4",
+                     "--q", "1.5", "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert "quit_prob" in capsys.readouterr().err
+    assert not out.exists()
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 2 1.5\n1 1 1.0\n")
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("1 1\n")
+    assert cli.main(["slots-cdf", str(bad), str(alloc_path), "--out",
+                     str(tmp_path / "cdf.csv")]) == cli.EXIT_VALIDATION
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -208,7 +222,49 @@ def test_bench_suite_config_file(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["scheme"] == "symmetric"
-    assert rows[0]["m"] == "6"
+    assert (rows[0]["n"], rows[0]["m"], rows[0]["q"]) == ("4", "6", "0.2")
+    # a flag on the command line wins over the file, for every key
+    assert cli.main(["bench", "--suite", str(suite), "--n", "7", "--seeds",
+                     "2,3", "--schemes", "heavy_top", "--out", str(out)]) \
+        == cli.EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["scheme"], r["n"], r["m"], r["seed"]) for r in rows] \
+        == [("heavy_top", "7", "6", "2"), ("heavy_top", "7", "6", "3")]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("n=abc\n", 1),                        # value the flag's type rejects
+    ("schemes=symmetric\nseed=1\n", 2),    # unknown (misspelt) key
+    ("algorithms=forward,nope\n", 1),      # unknown solver name
+    ("# comment\n\nm=-3\n", 3),            # negative size
+    ("seeds=1,x\n", 1),
+    ("n=4\n=5\n", 2),                      # value without a key
+])
+def test_malformed_suite_file_exits_2(tmp_path, capsys, text, line):
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(text)
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--suite", str(suite), "--out", str(out)]) \
+        == cli.EXIT_VALIDATION
+    assert "%s:%d:" % (suite, line) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--seeds", "1,x"],
+    ["bench", "--seeds", ","],
+    ["bench", "--n", "-1"],
+    ["bench", "--m", "-1"],
+    ["bench", "--k", "-1"],
+    ["gen", "--scheme", "symmetric", "--n", "-1"],
+    ["gen", "--scheme", "symmetric", "--m", "x"],
+    ["gen", "--scheme", "adversarial", "--m", "1"],
+])
+def test_malformed_flag_exits_1(tmp_path, argv):
+    out = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert not out.exists()
 
 
 def test_bench_rejects_unknown_names(tmp_path):

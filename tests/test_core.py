@@ -1,18 +1,20 @@
 """Objective evaluation, suffix identities, validation, and file formats."""
 
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng, random_matching, sparse_instance
-from feedalloc.core import (Allocation, InvalidAllocationError, Mode,
-                            ProblemInstance, SuffixTree, decompose,
-                            entry_suffixes, expected_reward, read_allocation,
-                            read_instance, suffix_reward, suffix_value,
-                            suffix_vector, validate_allocation,
-                            validate_instance, write_allocation,
+from feedalloc.core import (Allocation, InvalidAllocationError,
+                            InvalidInstanceError, Mode, ProblemInstance,
+                            SuffixTree, decompose, entry_suffixes,
+                            expected_reward, read_allocation, read_instance,
+                            suffix_reward, suffix_value, suffix_vector,
+                            validate_allocation, write_allocation,
                             write_instance)
 
 
@@ -81,17 +83,32 @@ def test_decompose_marks_occupied_slots():
     assert terms[1].tau == 0.0
 
 
-def test_validate_instance_flags_problems():
-    bad = _inst(2, 2, 1.5, [(1, 1, 1.0), (1, 1, 2.0), (3, 1, 1.0),
-                            (1, 5, 1.0), (2, 2, -1.0)])
-    problems = validate_instance(bad)
-    assert any("quit_prob" in p for p in problems)
-    assert any("duplicate" in p for p in problems)
-    assert any("ad index" in p for p in problems)
-    assert any("slot index" in p for p in problems)
-    assert any("reward" in p for p in problems)
+def test_construction_refuses_invalid_instance():
+    with pytest.raises(InvalidInstanceError) as err:
+        _inst(2, 2, 1.5, [(1, 1, 1.0), (1, 1, 2.0), (3, 1, 1.0),
+                          (1, 5, 1.0), (2, 2, -1.0)])
+    message = str(err.value)
+    for problem in ("quit_prob", "duplicate edge (1, 1)",
+                    "edge (3, 1): ad index", "edge (1, 5): slot index",
+                    "edge (2, 2): reward"):
+        assert problem in message
+    with pytest.raises(InvalidInstanceError, match="num_ads"):
+        _inst(2.5, 2, 0.1, [])
     good = _inst(2, 2, 0.1, [(1, 1, 1.0), (2, 2, 2.0)])
-    assert validate_instance(good) == []
+    assert good.edges == ((1, 1, 1.0), (2, 2, 2.0))
+
+
+@pytest.mark.parametrize("n, m, q, edges", [
+    (1, 1, 0.0, ((1, 1, 5.0), (1, 1, 0.5))),   # duplicate pair
+    (2, 2, 0.1, ((3, 1, 5.0), (1, 1, -2.0))),  # ad 3 of 2; negative reward
+    (2, 2, 0.1, ((1, 1, math.nan),)),
+    (2, 2, 0.1, ((1, 1, math.inf),)),
+    (2, 2, 1.0, ()),
+    (-1, 2, 0.1, ()),
+])
+def test_invalid_instance_cannot_be_built(n, m, q, edges):
+    with pytest.raises(InvalidInstanceError):
+        ProblemInstance(n, m, q, edges)
 
 
 def test_validate_allocation_modes():
@@ -143,12 +160,77 @@ def test_read_instance_rejects_empty_file(tmp_path):
         read_instance(path)
 
 
-def test_candidates_and_slots_of_are_sorted():
+def test_candidates_are_sorted():
     inst = _inst(3, 3, 0.1, [(3, 1, 1.0), (1, 1, 1.0), (1, 3, 1.0)])
     assert inst.candidates(1) == [1, 3]
     assert inst.candidates(2) == []
-    assert inst.slots_of(1) == [1, 3]
     assert inst.has_edge(3, 1) and not inst.has_edge(3, 3)
+
+
+def _has_problem(n, m, q, edges):
+    """Whether the model forbids this input, checked naively."""
+    if not (type(n) is int and n >= 0 and type(m) is int and m >= 0):
+        return True
+    if not 0.0 <= q < 1.0:
+        return True
+    pairs = [(i, j) for i, j, _r in edges]
+    if len(set(pairs)) < len(pairs):
+        return True
+    return any(not (1 <= i <= n and 1 <= j <= m) or math.isnan(r)
+               or math.isinf(r) or r < 0.0 for i, j, r in edges)
+
+
+@st.composite
+def _instance_inputs(draw):
+    """(n, m, q, edges): a valid input, or one with one fault injected."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 6))
+    q = draw(st.floats(0.0, 1.0, exclude_max=True))
+    pairs = []
+    if n and m:
+        pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, m)),
+                              unique=True, max_size=12))
+    edges = [(i, j, draw(st.floats(0.0, 1e6))) for i, j in pairs]
+    fault = draw(st.sampled_from((None, "duplicate", "ad", "slot", "reward",
+                                  "q", "n")))
+    if fault == "duplicate" and edges:
+        i, j, _r = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))),
+                     (i, j, draw(st.floats(0.0, 1e6))))
+    elif fault in ("ad", "slot"):
+        outside = st.one_of(st.integers(-2, 0), st.integers(7, 9))
+        inside = st.integers(1, 6)
+        edges.append((draw(outside if fault == "ad" else inside),
+                      draw(inside if fault == "ad" else outside), 1.0))
+    elif fault == "reward" and edges:
+        bad = draw(st.one_of(st.floats(max_value=-1e-300),
+                             st.sampled_from((math.nan, math.inf,
+                                              -math.inf))))
+        p = draw(st.integers(0, len(edges) - 1))
+        edges[p] = edges[p][:2] + (bad,)
+    elif fault == "q":
+        q = draw(st.one_of(st.floats(max_value=-1e-300), st.floats(1.0),
+                           st.just(math.nan)))
+    elif fault == "n":
+        n = draw(st.floats(0.0, 9.0).filter(lambda x: x % 1 != 0))
+    return n, m, q, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(_instance_inputs())
+def test_construction_refuses_exactly_the_invalid_inputs(args):
+    n, m, q, edges = args
+    if _has_problem(n, m, q, edges):
+        with pytest.raises(InvalidInstanceError):
+            ProblemInstance(n, m, q, tuple(edges))
+        return
+    inst = ProblemInstance(n, m, q, tuple(edges))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.txt")
+        write_instance(inst, path)
+        back = read_instance(path)
+    assert (back.num_ads, back.num_slots, back.quit_prob) == (n, m, q)
+    assert back.edges == inst.edges == tuple(edges)
 
 
 @st.composite

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from feedalloc.core import validate_instance
 from feedalloc.generators import (GeneratorConfig, gen_adversarial,
                                   gen_asymmetric, gen_finely_targeted,
                                   gen_session_blocks, gen_session_youtube,
@@ -14,7 +13,6 @@ def test_all_generated_instances_validate():
     for scheme in ("symmetric", "heavy_top", "heavy_bottom",
                    "finely_targeted"):
         inst = generate(GeneratorConfig(scheme=scheme, n=5, m=8, q=0.1, seed=2))
-        assert validate_instance(inst) == []
         assert inst.num_ads == 5 and inst.num_slots == 8
         assert len(inst.edges) == 5 * 8  # complete bipartite
 
@@ -79,7 +77,6 @@ def test_session_blocks_default_shape():
     assert inst.num_ads == 14400
     assert inst.num_slots == 1440
     assert len(inst.edges) == 144000
-    assert validate_instance(inst) == []
 
 
 def test_session_blocks_reward_range():
