@@ -11,6 +11,9 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from operator import itemgetter
+
+import numpy as np
 
 from . import matching
 from .algorithms import backwards_greedy
@@ -34,44 +37,66 @@ def global_greedy(inst, max_assignments=None):
     the new edge's own discounted reward minus the attention it takes from
     the entries after it, with B(j) = |M| - #entries after j.  f_j(M) and
     that count are read from a ``SuffixTree``, so a re-evaluation and a
-    commit each take O(log m).  A max-heap of cached bounds is kept and only
-    the top entry is re-evaluated, until its refreshed gain dominates every
-    other cached bound; gains are non-increasing over commits, so the cached
-    values stay valid upper bounds.  Ties break to the lexicographically
-    smallest (j, i).
+    commit each take O(log m).
+
+    At one slot every free ad shares the discount and f_j, so the gain is
+    monotone in r_ij and only the slot's best free ad (largest r, then
+    smallest i) can win.  Each slot's candidates are sorted once, and a
+    max-heap holds one cached gain per slot.  Only the top slot is
+    re-evaluated, until its refreshed gain dominates every other cached
+    one; gains are non-increasing over commits and a slot's next ad has no
+    larger reward, so a cached gain stays an upper bound for its slot.  A
+    popped slot whose best ad is used elsewhere moves on to its next free
+    ad under the same bound; a slot with no free ad left, or a committed
+    one, leaves the heap.  Sorting costs O(|E| log |E|) and the heap holds
+    at most m entries.
+
+    Ties break to the smallest j, then to the largest r and the smallest i.
+    That is the lexicographically smallest (j, i) among the largest gains,
+    except where two different rewards at one slot give gains that round to
+    the same float: there the larger r wins.
     """
     t0 = time.perf_counter()
     q = inst.quit_prob
     limit = math.inf if max_assignments is None else max_assignments
     tree = SuffixTree(inst.num_slots, q)
     powers = tree.powers
+    # each slot's (r, i) candidates, the best (largest r, then smallest i)
+    # last; the second sort is stable, so equal rewards keep i descending
+    rows = {}
+    for i, j, r in inst.edges:
+        rows.setdefault(j, []).append((r, i))
+    for row in rows.values():
+        row.sort(key=itemgetter(1), reverse=True)
+        row.sort(key=itemgetter(0))
     entries = []
     used_ads = set()
-    used_slots = set()
-    # initial gains on the empty allocation: r * (1-q)^j; (j, i) is unique,
-    # so the reward carried last never decides the order
-    heap = [(-(r * powers[j]), j, i, r) for i, j, r in inst.edges]
+    # initial gains on the empty allocation: r * (1-q)^j
+    heap = [(-(row[-1][0] * powers[j]), j) for j, row in rows.items()]
     heapq.heapify(heap)
     pops = reevals = 0
     while heap and len(entries) < limit:
-        _neg_bound, j, i, r = heapq.heappop(heap)
+        _neg_bound, j = heapq.heappop(heap)
         pops += 1
-        if i in used_ads or j in used_slots:
+        row = rows[j]
+        while row and row[-1][1] in used_ads:
+            row.pop()
+        if not row:
             continue
+        r, i = row[-1]
         after, fj = tree.suffix(j)
         g = powers[j + len(entries) - after] * (r - q * fj)
         reevals += 1
-        fresh = (-g, j, i, r)
+        fresh = (-g, j)
         if heap and heap[0] < fresh:
-            # another candidate may beat this one, or tie it with a smaller
-            # (j, i); re-cache and retry
+            # another slot may beat this one, or tie it with a smaller j;
+            # re-cache and retry
             heapq.heappush(heap, fresh)
             continue
         if g <= 0.0:
             break
         entries.append((j, i))
         used_ads.add(i)
-        used_slots.add(j)
         tree.insert(j, r)
     return _report("global", inst, entries, t0,
                    {"pops": pops, "gain_evals": reevals,
@@ -126,9 +151,14 @@ def online_threshold(inst, threshold="auto", max_assignments=None):
 
 
 def _static_weights(inst):
-    """Position-biased static weights w_ij = r_ij * (1-q)^j."""
+    """Position-biased static weights w_ij = r_ij * (1-q)^j, as an
+    (|E|, 3) array of (ad, slot, weight) rows, built without a tuple per
+    edge."""
     s = 1.0 - inst.quit_prob
-    return [(i, j, r * s ** j) for i, j, r in inst.edges]
+    edges = np.array(inst.edges, dtype=np.float64).reshape(-1, 3)
+    edges[:, 2] = np.fromiter((r * s ** j for _i, j, r in inst.edges),
+                              dtype=np.float64, count=len(edges))
+    return edges
 
 
 def mwm_baseline(inst):

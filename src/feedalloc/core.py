@@ -26,6 +26,7 @@ Three evaluators compute f and its suffix values f_j(M), each with one job:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,19 +61,24 @@ class ProblemInstance:
 
     def __post_init__(self):
         n, m, inf = self.num_ads, self.num_slots, math.inf
-        self.edges = tuple((int(i), int(j), float(r)) for i, j, r in self.edges)
+        given = tuple(self.edges)
+        self.edges = tuple((int(i), int(j), float(r)) for i, j, r in given)
         self._reward = {(i, j): r for i, j, r in self.edges}
-        self._by_slot = {}
+        self._by_slot = defaultdict(list)
         ok = len(self._reward) == len(self.edges)  # no repeated pair
-        for i, j, r in self.edges:
-            self._by_slot.setdefault(j, []).append(i)
-            ok = ok and 1 <= i <= n and 1 <= j <= m and 0.0 <= r < inf
+        for (i, j, r), (raw_i, raw_j, _r) in zip(self.edges, given):
+            self._by_slot[j].append(i)
+            # int() truncates, so an index must equal its conversion
+            if not (1 <= i <= n and 1 <= j <= m and 0.0 <= r < inf
+                    and i == raw_i and j == raw_j):
+                ok = False
         for ads in self._by_slot.values():
             ads.sort()
         if not (ok and 0.0 <= self.quit_prob < 1.0 and _is_count(n)
                 and _is_count(m)):
             raise InvalidInstanceError(
-                "invalid instance: " + "; ".join(_instance_problems(self)))
+                "invalid instance: "
+                + "; ".join(_instance_problems(n, m, self.quit_prob, given)))
 
     def reward(self, ad, slot):
         return self._reward[(ad, slot)]
@@ -128,25 +134,28 @@ class SolveReport:
     counters: dict = field(default_factory=dict)
 
 
-def _instance_problems(inst):
-    """Every invariant ``inst`` breaks: non-negative integer num_ads and
-    num_slots, 0 <= quit_prob < 1, no repeated (ad, slot) pair, indices in
-    range, finite non-negative rewards."""
+def _instance_problems(n, m, q, edges):
+    """Every invariant an instance with these fields breaks: non-negative
+    integer n and m, 0 <= q < 1, integer indices in range, no repeated
+    (ad, slot) pair, finite non-negative rewards."""
     problems = ["%s must be a non-negative integer" % name
-                for name in ("num_ads", "num_slots")
-                if not _is_count(getattr(inst, name))]
-    if not (0.0 <= inst.quit_prob < 1.0):
-        problems.append("quit_prob out of range [0, 1): %r" % (inst.quit_prob,))
+                for name, value in (("num_ads", n), ("num_slots", m))
+                if not _is_count(value)]
+    if not (0.0 <= q < 1.0):
+        problems.append("quit_prob out of range [0, 1): %r" % (q,))
     seen = set()
-    for i, j, r in inst.edges:
+    for i, j, r in edges:
+        if int(i) != i or int(j) != j:
+            problems.append("edge (%r, %r): non-integer index" % (i, j))
+            continue
         if (i, j) in seen:
             problems.append("duplicate edge (%d, %d)" % (i, j))
         seen.add((i, j))
-        if not (1 <= i <= inst.num_ads):
+        if not (1 <= i <= n):
             problems.append("edge (%d, %d): ad index out of range" % (i, j))
-        if not (1 <= j <= inst.num_slots):
+        if not (1 <= j <= m):
             problems.append("edge (%d, %d): slot index out of range" % (i, j))
-        if not (0.0 <= r < math.inf):
+        if not (0.0 <= float(r) < math.inf):
             problems.append("edge (%d, %d): reward %r invalid" % (i, j, r))
     return problems
 
@@ -362,7 +371,8 @@ def _read_records(path, types):
     """One tuple per non-blank line of ``path``, with field k converted by
     ``types[k]``."""
     records = []
-    with open(path) as fh:
+    # an undecodable byte fails its field's conversion, on its own line
+    with open(path, errors="surrogateescape") as fh:
         for lineno, ln in enumerate(fh, 1):
             fields = ln.split()
             if not fields:
@@ -382,8 +392,11 @@ def read_instance(path):
     if not records:
         raise FormatError("%s:1: empty instance file" % path)
     n, m, q = records[0]
-    return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q,
-                           edges=tuple(records[1:]))
+    try:
+        return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q,
+                               edges=tuple(records[1:]))
+    except InvalidInstanceError as exc:
+        raise InvalidInstanceError("%s: %s" % (path, exc)) from None
 
 
 def write_allocation(alloc, path):

@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from feedalloc.core import Allocation, Mode, ProblemInstance
 
 
@@ -40,3 +42,19 @@ def random_matching(inst, rng):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def allocation_file_bytes():
+    """Contents for an allocation file: lines of integer-like and junk
+    tokens, arbitrary text, or arbitrary bytes."""
+    token = st.one_of(st.integers(-2, 6).map(str),
+                      st.sampled_from(("1.5", "x", "+3", "0x1", "1_0")),
+                      st.text(max_size=3))
+    line = st.tuples(st.lists(token, max_size=4),
+                     st.sampled_from((" ", "\t", "  "))).map(
+                         lambda t: t[1].join(t[0]))
+    text = st.tuples(st.lists(line, max_size=6),
+                     st.sampled_from(("\n", "\r\n", "\r"))).map(
+                         lambda t: t[1].join(t[0]))
+    return st.one_of(text, st.text()).map(
+        lambda s: s.encode("utf-8", "surrogatepass")) | st.binary()

@@ -1,6 +1,8 @@
 """Comparison algorithms against oracles and each other."""
 
 import bisect
+import heapq
+import math
 
 import pytest
 
@@ -8,7 +10,10 @@ from conftest import make_rng, sparse_instance
 from feedalloc.baselines import (auto_threshold, flow_baseline,
                                  flow_cardinality, flow_greedy, forward_greedy,
                                  global_greedy, mwm_baseline, online_threshold)
-from feedalloc.core import (Allocation, Mode, ProblemInstance, expected_reward)
+from feedalloc.core import (Allocation, Mode, ProblemInstance, SuffixTree,
+                            expected_reward)
+from feedalloc.generators import (gen_finely_targeted, gen_session_blocks,
+                                  gen_symmetric)
 from feedalloc.oracle import brute_force_matching
 
 
@@ -63,6 +68,41 @@ def naive_global_greedy(inst, max_assignments=None):
     return Allocation(entries=tuple(entries), mode=Mode.MATCHING)
 
 
+def edge_heap_global_greedy(inst, max_assignments=None):
+    """Reference implementation: the lazy global greedy with one heap entry
+    per edge.  Same closed-form gains from a ``SuffixTree`` and the same
+    re-cache rule as ``global_greedy``, but every edge is a candidate, so
+    ties break to the smallest (j, i) even where gains round equal.
+    Returns the allocation's entries and the number of heap pops."""
+    q = inst.quit_prob
+    limit = math.inf if max_assignments is None else max_assignments
+    tree = SuffixTree(inst.num_slots, q)
+    powers = tree.powers
+    entries = []
+    used_ads, used_slots = set(), set()
+    heap = [(-(r * powers[j]), j, i, r) for i, j, r in inst.edges]
+    heapq.heapify(heap)
+    pops = 0
+    while heap and len(entries) < limit:
+        _neg_bound, j, i, r = heapq.heappop(heap)
+        pops += 1
+        if i in used_ads or j in used_slots:
+            continue
+        after, fj = tree.suffix(j)
+        g = powers[j + len(entries) - after] * (r - q * fj)
+        fresh = (-g, j, i, r)
+        if heap and heap[0] < fresh:
+            heapq.heappush(heap, fresh)
+            continue
+        if g <= 0.0:
+            break
+        entries.append((j, i))
+        used_ads.add(i)
+        used_slots.add(j)
+        tree.insert(j, r)
+    return tuple(sorted(entries)), pops
+
+
 def _integer_rewards(inst):
     """The same edges with rewards rounded to integers, so gains tie."""
     return _inst(inst.num_ads, inst.num_slots, inst.quit_prob,
@@ -82,6 +122,60 @@ def test_lazy_global_greedy_matches_naive():
             lazy = global_greedy(inst, max_assignments=k)
             naive = naive_global_greedy(inst, max_assignments=k)
             assert lazy.allocation.entries == naive.entries
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: gen_session_blocks(m=200, seed=seed, blocks=3,
+                                    categories=10, slots_per_block=20),
+    lambda seed: gen_symmetric(30, 200, seed=seed, integer=True),
+    lambda seed: gen_finely_targeted(30, 200, seed=seed),
+], ids=["session_blocks", "symmetric_integer", "finely_targeted"])
+def test_slot_heap_matches_edge_heap_oracle(build):
+    for seed in range(1, 6):
+        inst = build(seed)
+        for k in (None, 5):
+            report = global_greedy(inst, max_assignments=k)
+            entries, pops = edge_heap_global_greedy(inst, max_assignments=k)
+            assert report.allocation.entries == entries, (seed, k)
+            assert report.counters["pops"] <= pops
+
+
+def test_equal_rewards_at_one_slot_go_to_smallest_ad():
+    inst = _inst(3, 1, 0.1, [(3, 1, 2.0), (1, 1, 2.0), (2, 1, 2.0)])
+    assert global_greedy(inst).allocation.entries == ((1, 1),)
+    assert naive_global_greedy(inst).entries == ((1, 1),)
+
+
+def test_equal_gains_at_two_slots_go_to_smaller_slot():
+    # q = 0.5 keeps the arithmetic exact.  Ad 2 takes slot 3 first; ad 1
+    # then gains 0.25 at slot 1 (re-evaluated first) and at slot 2, and the
+    # smaller slot must win
+    inst = _inst(2, 3, 0.5, [(1, 1, 2.0), (1, 2, 4.0), (2, 3, 12.0)])
+    assert global_greedy(inst).allocation.entries == ((1, 1), (3, 2))
+    assert naive_global_greedy(inst).entries == ((1, 1), (3, 2))
+
+
+def test_slot_moves_past_an_ad_committed_elsewhere():
+    # ad 1 is the best candidate of both slots; once it takes slot 1, slot 2
+    # falls back to ad 2 without a heap entry of its own
+    inst = _inst(2, 2, 0.1, [(1, 1, 10.0), (1, 2, 9.0), (2, 2, 5.0)])
+    report = global_greedy(inst)
+    assert report.allocation.entries == ((1, 1), (2, 2))
+    assert report.allocation.entries == naive_global_greedy(inst).entries
+    # ad 1 is never scored at slot 2
+    assert report.counters == {"pops": 2, "gain_evals": 2, "commits": 2}
+
+
+def test_rounded_gain_tie_takes_larger_reward():
+    # 1.201 and the next float up give the same gain 0.9 * r at slot 1;
+    # the per-slot order takes the larger reward where the edge heap and
+    # the naive oracle take the smaller ad index
+    low, high = 1.201, math.nextafter(1.201, math.inf)
+    assert 0.9 * low == 0.9 * high
+    inst = _inst(2, 1, 0.1, [(1, 1, low), (2, 1, high)])
+    assert global_greedy(inst).allocation.entries == ((1, 2),)
+    assert edge_heap_global_greedy(inst)[0] == ((1, 1),)
+    assert naive_global_greedy(inst).entries == ((1, 1),)
 
 
 def test_global_greedy_respects_assignment_cap():

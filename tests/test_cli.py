@@ -1,10 +1,17 @@
 """Command-line interface: commands, formats, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import allocation_file_bytes
 from feedalloc import cli, core
 from feedalloc.core import Allocation, ProblemInstance
 
@@ -95,10 +102,11 @@ def test_solve_and_bench_apply_k_alike(tmp_path, capsys):
         assert report["size"] <= 3, name
 
 
-def test_solve_invalid_instance_exits_2(tmp_path):
-    bad = tmp_path / "bad.txt"
+def test_solve_invalid_instance_exits_2(tmp_path, capsys):
+    bad = tmp_path / "badq.txt"
     bad.write_text("2 2 1.5\n1 1 1.0\n")
     assert cli.main(["solve", str(bad), "gb"]) == cli.EXIT_VALIDATION
+    assert "%s: invalid instance: quit_prob" % bad in capsys.readouterr().err
 
 
 def test_invalid_instance_from_gen_or_file_exits_2(tmp_path, capsys):
@@ -141,6 +149,22 @@ def test_malformed_allocation_exits_2(tmp_path, capsys):
     alloc_path.write_text("1 1 1\n")
     assert cli.main(["slots-cdf", path, str(alloc_path), "--out",
                      str(tmp_path / "cdf.csv")]) == cli.EXIT_VALIDATION
+
+
+@settings(max_examples=60, deadline=None)
+@given(allocation_file_bytes())
+def test_verify_fuzzed_allocation_exits_0_or_2(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        _inst, path = _write_inst(pathlib.Path(tmp))
+        alloc_path = os.path.join(tmp, "alloc.txt")
+        with open(alloc_path, "wb") as fh:
+            fh.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", path, alloc_path])
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    assert (code == cli.EXIT_OK) == ("reward=" in out.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_usage_error_exits_1(tmp_path):

@@ -4,12 +4,14 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_matching, sparse_instance
-from feedalloc.core import (Allocation, InvalidAllocationError,
+from conftest import (allocation_file_bytes, make_rng, random_matching,
+                      sparse_instance)
+from feedalloc.core import (Allocation, FormatError, InvalidAllocationError,
                             InvalidInstanceError, Mode, ProblemInstance,
                             SuffixTree, decompose, entry_suffixes,
                             expected_reward, read_allocation, read_instance,
@@ -94,8 +96,14 @@ def test_construction_refuses_invalid_instance():
         assert problem in message
     with pytest.raises(InvalidInstanceError, match="num_ads"):
         _inst(2.5, 2, 0.1, [])
+    with pytest.raises(InvalidInstanceError,
+                       match=r"edge \(1\.5, 1\): non-integer index"):
+        _inst(2, 2, 0.1, [(1.5, 1, 1.0), (2, 2, 2.0)])
     good = _inst(2, 2, 0.1, [(1, 1, 1.0), (2, 2, 2.0)])
     assert good.edges == ((1, 1, 1.0), (2, 2, 2.0))
+    # integral index types are converted, not refused
+    assert _inst(2, 2, 0.1, [(np.int64(1), 1.0, 1), (2.0, np.int32(2), 2.0)]
+                 ).edges == good.edges
 
 
 @pytest.mark.parametrize("n, m, q, edges", [
@@ -105,6 +113,7 @@ def test_construction_refuses_invalid_instance():
     (2, 2, 0.1, ((1, 1, math.inf),)),
     (2, 2, 1.0, ()),
     (-1, 2, 0.1, ()),
+    (2, 2, 0.1, ((1.5, 1, 1.0), (2.9, 2, 2.0))),  # int() would truncate
 ])
 def test_invalid_instance_cannot_be_built(n, m, q, edges):
     with pytest.raises(InvalidInstanceError):
@@ -153,6 +162,21 @@ def test_allocation_roundtrip(tmp_path):
     assert read_allocation(path).entries == alloc.entries
 
 
+@settings(max_examples=60, deadline=None)
+@given(allocation_file_bytes())
+def test_read_allocation_returns_allocation_or_format_error(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alloc.txt")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        try:
+            alloc = read_allocation(path)
+        except FormatError as exc:
+            assert str(exc).startswith(path + ":")
+            return
+    assert all(type(j) is int and type(i) is int for j, i in alloc.entries)
+
+
 def test_read_instance_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
@@ -176,8 +200,9 @@ def _has_problem(n, m, q, edges):
     pairs = [(i, j) for i, j, _r in edges]
     if len(set(pairs)) < len(pairs):
         return True
-    return any(not (1 <= i <= n and 1 <= j <= m) or math.isnan(r)
-               or math.isinf(r) or r < 0.0 for i, j, r in edges)
+    return any(not (1 <= i <= n and 1 <= j <= m) or i % 1 or j % 1
+               or math.isnan(r) or math.isinf(r) or r < 0.0
+               for i, j, r in edges)
 
 
 @st.composite
@@ -192,7 +217,7 @@ def _instance_inputs(draw):
                               unique=True, max_size=12))
     edges = [(i, j, draw(st.floats(0.0, 1e6))) for i, j in pairs]
     fault = draw(st.sampled_from((None, "duplicate", "ad", "slot", "reward",
-                                  "q", "n")))
+                                  "q", "n", "index")))
     if fault == "duplicate" and edges:
         i, j, _r = draw(st.sampled_from(edges))
         edges.insert(draw(st.integers(0, len(edges))),
@@ -213,6 +238,13 @@ def _instance_inputs(draw):
                            st.just(math.nan)))
     elif fault == "n":
         n = draw(st.floats(0.0, 9.0).filter(lambda x: x % 1 != 0))
+    elif fault == "index" and edges:
+        # a float index: refused unless integral
+        p = draw(st.integers(0, len(edges) - 1))
+        shift = draw(st.sampled_from((0.0, 0.5, 0.99)))
+        i, j, r = edges[p]
+        edges[p] = ((i + shift, j, r) if draw(st.booleans())
+                    else (i, j + shift, r))
     return n, m, q, edges
 
 
