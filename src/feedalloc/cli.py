@@ -3,8 +3,9 @@ allocations, simulate sessions, and run benchmark suites to CSV.
 
 Exit codes: 0 success; 1 usage error, e.g. a negative ``--n`` or a generator
 parameter the generator refuses; 2 an invalid instance (read, or generated
-from e.g. q >= 1) or allocation, or a malformed or missing input file or
-suite file; 3 oracle guard refusal.  ``bench --time-limit`` never stops a run.
+from e.g. q >= 1) or allocation, a malformed input file or suite file, or an
+input or output file that cannot be opened; 3 oracle guard refusal.
+``bench --time-limit`` never stops a run.
 """
 
 from __future__ import annotations
@@ -307,18 +308,15 @@ def cmd_bench(args):
 def cmd_verify(args):
     inst = core.read_instance(args.instance)
     alloc = core.read_allocation(args.allocation, mode=Mode(args.mode))
-    problems = core.validate_allocation(inst, alloc)
-    if problems:
-        print("invalid allocation: " + "; ".join(problems), file=sys.stderr)
-        return EXIT_VALIDATION
     reward = core.expected_reward(inst, alloc)
-    # residual of the backward decomposition against direct evaluation
-    residual = 0.0
-    for j in range(inst.num_slots + 1):
-        direct = core.suffix_reward(inst, alloc, j)
-        recon = sum(t.discount * t.tau for t in core.decompose(inst, alloc, j)
-                    if t.occupied)
-        residual = max(residual, abs(direct - recon) / max(1.0, abs(direct)))
+    direct = core.suffix_vector(core.checked_pairs(inst, alloc),
+                                inst.quit_prob, inst.num_slots)
+    taus = [0.0] + [t.tau for t in core.decompose(inst, alloc, 0)]
+    # residual of the backward decomposition against every f_j, from j = m
+    residual = recon = 0.0
+    for f, tau in zip(direct[::-1], taus[::-1]):
+        residual = max(residual, abs(f - recon) / max(1.0, abs(f)))
+        recon = (1.0 - inst.quit_prob) * (recon + tau)
     print("reward=%s size=%d decomposition_residual=%s"
           % (_num(reward), len(alloc), "%.3g" % residual))
     if args.simulate > 0:
@@ -360,8 +358,8 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, core.FormatError,
-            core.InvalidInstanceError) as exc:
+    except (OSError, core.FormatError, core.InvalidInstanceError,
+            core.InvalidAllocationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

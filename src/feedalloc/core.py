@@ -12,7 +12,8 @@ The expected reward of an allocation M is
 where B(j) is the number of occupied slots strictly before j: the user must
 survive j item-views plus B(j) ad-views to reach the ad at slot j.
 
-Three evaluators compute f and its suffix values f_j(M), each with one job:
+``checked_pairs`` is the one place an allocation is checked and its rewards
+read.  Three evaluators compute f and its suffix values f_j(M), one job each:
 
 - ``suffix_value``: the direct fold.  It is the reference behind
   ``expected_reward``, ``suffix_reward`` and the brute-force oracles.
@@ -20,7 +21,7 @@ Three evaluators compute f and its suffix values f_j(M), each with one job:
   solvers that grow an allocation (``backwards_greedy``, ``global_greedy``).
 - ``entry_suffixes``: f_j(M) at every occupied slot in one backward pass,
   for ``nonoblivious_backwards_greedy`` after a re-assignment,
-  ``prune_to_k``, ``suffix_vector`` and ``decompose``.
+  ``prune_to_k``, ``suffix_vector``, ``decompose`` and ``feedalloc verify``.
 """
 
 from __future__ import annotations
@@ -62,10 +63,13 @@ class ProblemInstance:
     def __post_init__(self):
         n, m, inf = self.num_ads, self.num_slots, math.inf
         given = tuple(self.edges)
-        self.edges = tuple((int(i), int(j), float(r)) for i, j, r in given)
+        try:
+            self.edges = tuple((int(i), int(j), float(r)) for i, j, r in given)
+        except (ValueError, OverflowError):  # int() of a NaN or an infinity
+            self.edges = ()
         self._reward = {(i, j): r for i, j, r in self.edges}
         self._by_slot = defaultdict(list)
-        ok = len(self._reward) == len(self.edges)  # no repeated pair
+        ok = len(self._reward) == len(given)  # converted, no repeated pair
         for (i, j, r), (raw_i, raw_j, _r) in zip(self.edges, given):
             self._by_slot[j].append(i)
             # int() truncates, so an index must equal its conversion
@@ -83,23 +87,22 @@ class ProblemInstance:
     def reward(self, ad, slot):
         return self._reward[(ad, slot)]
 
-    def has_edge(self, ad, slot):
-        return (ad, slot) in self._reward
-
     def candidates(self, slot):
         """Ads with an edge to ``slot``, in increasing ad index."""
         return self._by_slot.get(slot, [])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Allocation:
-    """A slot -> ad assignment, stored as slot-sorted (slot, ad) pairs."""
+    """A frozen slot -> ad assignment, kept as slot-sorted (slot, ad) pairs."""
 
     entries: tuple
     mode: Mode = Mode.MATCHING
+    _checked: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.entries = tuple(sorted((int(j), int(i)) for j, i in self.entries))
+        object.__setattr__(self, "entries", tuple(sorted(
+            (int(j), int(i)) for j, i in self.entries)))
 
     def __len__(self):
         return len(self.entries)
@@ -145,7 +148,7 @@ def _instance_problems(n, m, q, edges):
         problems.append("quit_prob out of range [0, 1): %r" % (q,))
     seen = set()
     for i, j, r in edges:
-        if int(i) != i or int(j) != j:
+        if i % 1 or j % 1:  # fractional, NaN or infinite
             problems.append("edge (%r, %r): non-integer index" % (i, j))
             continue
         if (i, j) in seen:
@@ -161,31 +164,37 @@ def _instance_problems(n, m, q, edges):
 
 
 def validate_allocation(inst, alloc):
-    """Return a list of violations of ``alloc`` against ``inst``."""
-    problems = []
-    slots_used = set()
-    ads_used = set()
+    """Return a list of violations of ``alloc`` against ``inst``.  The same
+    pass reads the rewards; ``alloc`` keeps both for the last ``inst``."""
+    memo = alloc._checked
+    if memo is not None and memo[0] is inst:
+        return list(memo[1])
+    problems, pairs, ads_used, prev = [], [], set(), None
     for j, i in alloc.entries:
-        if j in slots_used:
+        if j == prev:  # entries are slot-sorted
             problems.append("slot %d assigned more than once" % j)
-        slots_used.add(j)
-        if alloc.mode is Mode.MATCHING:
-            if i in ads_used:
-                problems.append("ad %d used more than once in matching mode" % i)
-            ads_used.add(i)
-        if not inst.has_edge(i, j):
+        prev = j
+        if alloc.mode is Mode.MATCHING and i in ads_used:
+            problems.append("ad %d used more than once in matching mode" % i)
+        ads_used.add(i)
+        r = inst._reward.get((i, j))
+        if r is None:
             problems.append("entry (slot %d, ad %d) is not an instance edge" % (j, i))
+        pairs.append((j, r))
+    object.__setattr__(alloc, "_checked", (inst, tuple(problems), tuple(pairs)))
     return problems
 
 
 class InvalidAllocationError(ValueError):
-    pass
+    """An allocation ``validate_allocation`` finds a problem with."""
 
 
-def _check(inst, alloc):
+def checked_pairs(inst, alloc):
+    """The slot-sorted (slot, reward) pairs of ``alloc``; raises if invalid."""
     problems = validate_allocation(inst, alloc)
     if problems:
-        raise InvalidAllocationError("; ".join(problems))
+        raise InvalidAllocationError("invalid allocation: " + "; ".join(problems))
+    return alloc._checked[2]
 
 
 def suffix_value(pairs, q, base=0):
@@ -274,23 +283,18 @@ class SuffixTree:
         return count, total
 
 
-def _reward_pairs(inst, alloc):
-    return [(j, inst.reward(i, j)) for j, i in alloc.entries]
-
-
 def expected_reward(inst, alloc):
     """f(M), the expected session reward of a valid allocation."""
-    _check(inst, alloc)
-    return suffix_value(_reward_pairs(inst, alloc), inst.quit_prob, base=0)
+    return suffix_value(checked_pairs(inst, alloc), inst.quit_prob, base=0)
 
 
 def suffix_reward(inst, alloc, j):
     """f_j(M): expected reward counting only slots after j, with attention
     restarted at slot j.  f_0 equals the full objective; f_m is 0."""
-    _check(inst, alloc)
+    pairs = checked_pairs(inst, alloc)
     if not (0 <= j <= inst.num_slots):
         raise ValueError("suffix index %d outside 0..%d" % (j, inst.num_slots))
-    return suffix_value(_reward_pairs(inst, alloc), inst.quit_prob, base=j)
+    return suffix_value(pairs, inst.quit_prob, base=j)
 
 
 def entry_suffixes(pairs, q):
@@ -333,12 +337,11 @@ def decompose(inst, alloc, j):
     The R_{j'} values come from ``entry_suffixes``, so summing the returned
     terms gives an independent reconstruction of suffix_reward.
     """
-    _check(inst, alloc)
+    pairs = checked_pairs(inst, alloc)
     if not (0 <= j <= inst.num_slots):
         raise ValueError("suffix index %d outside 0..%d" % (j, inst.num_slots))
     q = inst.quit_prob
     s = 1.0 - q
-    pairs = _reward_pairs(inst, alloc)
     taus = {slot: r - q * f
             for (slot, r), f in zip(pairs, entry_suffixes(pairs, q))}
     return [DecompositionTerm(slot=jp, occupied=jp in taus,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Mode, _check, suffix_value
+from .core import Allocation, Mode, checked_pairs, suffix_value
 
 
 class OracleGuardError(ValueError):
@@ -112,7 +112,7 @@ class SessionTrace:
 
 def sample_session(inst, alloc, rng):
     """Walk the feed element by element with one quit coin after each view."""
-    occupied = {j: i for j, i in alloc.entries}
+    occupied = dict(checked_pairs(inst, alloc))  # slot -> reward
     viewed = []
     reward = 0.0
     for j in range(1, inst.num_slots + 1):
@@ -121,7 +121,7 @@ def sample_session(inst, alloc, rng):
             return SessionTrace(tuple(viewed), len(viewed), reward)
         if j in occupied:
             viewed.append(("ad", j))
-            reward += inst.reward(occupied[j], j)
+            reward += occupied[j]
             if rng.random() < inst.quit_prob:
                 return SessionTrace(tuple(viewed), len(viewed), reward)
     return SessionTrace(tuple(viewed), None, reward)
@@ -144,12 +144,11 @@ def simulate_sessions(inst, alloc, sessions, seed, chunk=SIM_CHUNK):
     """
     if sessions < 1:
         raise ValueError("sessions must be >= 1")
-    _check(inst, alloc)
+    pairs = checked_pairs(inst, alloc)
     q = inst.quit_prob
-    positions = np.array([j + b + 1 for b, (j, _i) in enumerate(alloc.entries)],
+    positions = np.array([j + b + 1 for b, (j, _r) in enumerate(pairs)],
                          dtype=np.int64)
-    rewards = np.array([inst.reward(i, j) for j, i in alloc.entries])
-    cum = np.concatenate([[0.0], np.cumsum(rewards)])
+    cum = np.concatenate([[0.0], np.cumsum([r for _j, r in pairs])])
     if q == 0.0:
         # every session views the whole feed and collects every allocated ad
         return SimulationResult(mean=float(cum[-1]), stderr=0.0,

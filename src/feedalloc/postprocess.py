@@ -9,7 +9,7 @@ commitments, through their ``max_assignments`` argument.
 
 from __future__ import annotations
 
-from .core import Allocation, entry_suffixes, expected_reward
+from .core import Allocation, checked_pairs, entry_suffixes, expected_reward
 
 
 def prune_to_k(inst, alloc, k):
@@ -29,7 +29,7 @@ def prune_to_k(inst, alloc, k):
     expected_reward(inst, alloc)  # raises on an invalid allocation
     q = inst.quit_prob
     s = 1.0 - q
-    pairs = [(j, inst.reward(i, j)) for j, i in alloc.entries]
+    pairs = list(checked_pairs(inst, alloc))  # a copy: removals edit it
     ads = alloc.ads()
     while len(pairs) > k:
         f = entry_suffixes(pairs, q)

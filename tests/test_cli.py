@@ -11,7 +11,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings
 
-from conftest import allocation_file_bytes
+from conftest import (allocation_file_bytes, make_rng, random_matching,
+                      sparse_instance)
 from feedalloc import cli, core
 from feedalloc.core import Allocation, ProblemInstance
 
@@ -128,6 +129,19 @@ def test_missing_file_exits_2(tmp_path):
         == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "{inst}", "{dir}"],                 # allocation
+    ["solve", "{dir}", "gb"],                      # instance
+    ["gen", "--scheme", "symmetric", "--n", "2", "--m", "3", "--out",
+     "{dir}"],                                     # output file
+])
+def test_file_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
+    _inst, path = _write_inst(tmp_path)
+    argv = [arg.format(inst=path, dir=tmp_path) for arg in argv]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("text, line", [
     ("1 1 abc\n", 1),                     # non-numeric header field
     ("2 2 0.1\n1 1 1.0\n\n1 2\n", 4),     # two-field edge line
@@ -192,11 +206,44 @@ def test_verify_reports_residual_and_simulation(tmp_path, capsys):
     assert "simulated_mean=" in out
 
 
-def test_verify_rejects_invalid_allocation(tmp_path):
+def test_verify_rejects_invalid_allocation(tmp_path, capsys):
     _inst, path = _write_inst(tmp_path)
     alloc_path = tmp_path / "alloc.txt"
     alloc_path.write_text("1 2\n")  # no edge (ad 2, slot 1)
     assert cli.main(["verify", path, str(alloc_path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(
+        "error: invalid allocation: entry (slot 1, ad 2)")
+
+
+def per_slot_residual(inst, alloc):
+    """Reference verify check: ``suffix_reward`` against the sum of
+    ``decompose``'s terms, recomputed from scratch at every j."""
+    residual = 0.0
+    for j in range(inst.num_slots + 1):
+        direct = core.suffix_reward(inst, alloc, j)
+        recon = sum(t.discount * t.tau for t in core.decompose(inst, alloc, j)
+                    if t.occupied)
+        residual = max(residual, abs(direct - recon) / max(1.0, abs(direct)))
+    return residual
+
+
+@pytest.mark.parametrize("q", [0.0, 0.1, 0.9])
+def test_verify_matches_per_slot_oracle(tmp_path, capsys, q):
+    rng = make_rng(71)
+    for idx in range(25):
+        inst = sparse_instance(rng, n_max=6, m_max=12, q_choices=(q,))
+        alloc = Allocation(()) if idx == 0 else random_matching(inst, rng)
+        inst_path = tmp_path / "inst.txt"
+        alloc_path = tmp_path / "alloc.txt"
+        core.write_instance(inst, inst_path)
+        core.write_allocation(alloc, alloc_path)
+        assert cli.main(["verify", str(inst_path), str(alloc_path)]) \
+            == cli.EXIT_OK
+        fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+        assert fields["reward"] == cli._num(core.expected_reward(inst, alloc))
+        assert fields["size"] == str(len(alloc))
+        assert float(fields["decomposition_residual"]) <= 1e-9
+        assert per_slot_residual(inst, alloc) <= 1e-9
 
 
 def test_bench_writes_csv_and_summary(tmp_path, capsys):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_matching, sparse_instance
-from feedalloc.core import Allocation, Mode, ProblemInstance, expected_reward
+from feedalloc.core import (Allocation, InvalidAllocationError, Mode,
+                            ProblemInstance, expected_reward)
 from feedalloc.oracle import (OracleGuardError, brute_force_mapping,
                               brute_force_matching, sample_session,
                               simulate_sessions)
@@ -70,6 +71,13 @@ def test_sample_session_statistics_match_objective():
     total = sum(sample_session(inst, alloc, rng).reward for _ in range(n))
     analytic = expected_reward(inst, alloc)
     assert total / n == pytest.approx(analytic, rel=0.02)
+
+
+def test_sample_session_refuses_invalid_allocation():
+    # at q = 0 every session reaches slot 1, which has no edge to ad 2
+    inst = _inst(2, 2, 0.0, [(1, 1, 1.0), (2, 2, 1.0)])
+    with pytest.raises(InvalidAllocationError):
+        sample_session(inst, Allocation(((1, 2),)), random.Random(56))
 
 
 def test_sample_session_trace_shape():

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import make_rng, random_matching, sparse_instance
 from feedalloc.baselines import forward_greedy, global_greedy
-from feedalloc.core import Allocation, ProblemInstance, expected_reward
+from feedalloc.core import (Allocation, ProblemInstance, expected_reward,
+                            suffix_reward)
 from feedalloc.postprocess import prune_to_k
 
 
@@ -46,6 +47,22 @@ def test_prune_tie_removes_highest_slot():
     alloc = Allocation(entries=((1, 1), (2, 2)))
     pruned = prune_to_k(inst, alloc, 1)
     assert pruned.entries == ((1, 1),)
+
+
+def test_prune_leaves_the_checked_pairs_alone():
+    # prune_to_k removes entries from a copy of the pairs remembered on the
+    # allocation; a second run and every suffix value must see them unchanged
+    rng = make_rng(63)
+    for _ in range(30):
+        inst = sparse_instance(rng)
+        alloc = random_matching(inst, rng)
+        before = [suffix_reward(inst, alloc, j)
+                  for j in range(inst.num_slots + 1)]
+        first = prune_to_k(inst, alloc, len(alloc) // 2)
+        assert prune_to_k(inst, alloc, len(alloc) // 2).entries \
+            == first.entries
+        assert [suffix_reward(inst, alloc, j)
+                for j in range(inst.num_slots + 1)] == before
 
 
 def test_prune_to_zero_and_noop():
