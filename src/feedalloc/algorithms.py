@@ -11,15 +11,21 @@ tree over the slots (``core.SuffixTree``), so the cost is O(|E| log m).
 
 ``nonoblivious_backwards_greedy`` (matching only) replaces the exact gain
 with a cheap lower bound built from per-ad estimates tau_i, giving the same
-2-approximation at O(|E| + m*|M|) cost with O(1) work per candidate.
+2-approximation with O(1) work per candidate.  It caches each entry's
+suffix value and, after a re-assignment, re-runs ``core.entry_suffixes``'s
+recursion below the moved entry only, so it costs O(|E| + m + R * |M|) for
+R re-assignments.
+
+Both read the instance's per-slot rows (``ProblemInstance.row``).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
-from .core import (Allocation, Mode, SolveReport, SuffixTree, entry_suffixes,
+from .core import (Allocation, Mode, SolveReport, SuffixTree,
                    expected_reward, suffix_vector)
 
 
@@ -97,22 +103,22 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
     for j in range(m, 0, -1):
         if j in frozen:
             continue
-        cands = inst.candidates(j)
+        cand_ads, cand_rewards = inst.row(j)
         if log is not None:
             before = _snapshot(rewards.items(), q, m)
-        if not cands:
+        if not cand_ads:
             if log is not None:
                 log.append(IterationLog(j, (), None, float("nan"), False, False,
                                         before, before))
             continue
         above, fj = tree.suffix(j)
-        best_i = None
+        best_i = best_r = None
         best_g = 0.0
         best_reassign = False
-        for i in cands:
+        for i, r in zip(cand_ads, cand_rewards):
             if i in locked:
                 continue
-            g = inst.reward(i, j) - q * fj
+            g = r - q * fj
             reassign = matching and i in matched_slot
             if reassign:
                 sigma = matched_slot[i]
@@ -122,7 +128,7 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
                     * (rewards[sigma] - q * f_sigma)
             evals += 1
             if best_i is None or g > best_g:
-                best_i, best_g, best_reassign = i, g, reassign
+                best_i, best_g, best_r, best_reassign = i, g, r, reassign
         committed = best_g > 0.0
         if committed:
             commits += 1
@@ -131,13 +137,13 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
                 old = matched_slot[best_i]
                 del rewards[old], ad_at[old]
                 tree.remove(old)
-            r = inst.reward(best_i, j)
-            rewards[j], ad_at[j] = r, best_i
-            tree.insert(j, r)
+            rewards[j], ad_at[j] = best_r, best_i
+            tree.insert(j, best_r)
             if matching:
                 matched_slot[best_i] = j
         if log is not None:
-            log.append(IterationLog(j, tuple(cands), best_i if committed else None,
+            log.append(IterationLog(j, tuple(cand_ads),
+                                    best_i if committed else None,
                                     best_g, committed,
                                     committed and best_reassign,
                                     before, _snapshot(rewards.items(), q, m)))
@@ -160,73 +166,92 @@ def nonoblivious_backwards_greedy(inst, log=None):
 
     is selected (tau_i = 0, sigma(i) = j for unmatched ads) and committed iff
     the gain lower bound  g_LB = r_ij - q f_j(M) - tau_i (1-q)^(sigma(i)-j)
-    is positive.  f_j(M) is rolled across slots in O(1) per slot; after a
-    re-assignment it and every matched ad's tau are recomputed in one
-    ``entry_suffixes`` pass, so the cost is O(|E| + m * |M|).
+    is positive.  f_j(M) is rolled across slots in O(1) per slot, and a
+    fresh entry takes its tau from the rolled value.
+
+    A re-assignment sets every tau to r - q * f from the ``entry_suffixes``
+    recursion.  The entries are kept slot-descending, each with its
+    recursion f cached, and only the entries below the removed one change
+    their f; of those above it, only the ones added since the previous
+    re-assignment still carry a rolled tau.  So one pass from the higher of
+    these two points down refreshes every tau, with no positions to keep,
+    and the cost is O(|E| + m + R * |M|) for R re-assignments.
     """
     t0 = time.perf_counter()
     q = inst.quit_prob
     s = 1.0 - q
     m = inst.num_slots
-    entries = []          # slot-ascending (slot, ad, reward)
-    tau = {}
-    sigma = {}            # ad -> matched slot
+    powers = _powers(s, m)
+    slots, ads, rewards, fs = [], [], [], []   # slot-descending entries
+    tau = [None] * (inst.num_ads + 1)   # ad -> tau, None while unmatched
+    sigma = [0] * (inst.num_ads + 1)    # ad -> matched slot
+    rolled = 0            # lowest entries whose tau came from the rolled f_j
     commits = reassigns = scored = 0
     cur = 0.0             # f_j(M) for the slot being processed
     for j in range(m, 0, -1):
         if j < m:
             # roll f_{j+1} -> f_j over slot j+1 (one backward-recursion step)
-            if entries and entries[0][0] == j + 1:
-                r_next = entries[0][2]
+            if slots and slots[-1] == j + 1:
+                r_next = rewards[-1]
                 cur = s * (cur + (r_next - q * cur))
             else:
                 cur = s * cur
-        cands = inst.candidates(j)
+        cand_ads, cand_rewards = inst.row(j)
         if log is not None:
-            before = _snapshot(_entry_pairs(entries), q, m)
-        if not cands:
+            before = _snapshot(zip(slots, rewards), q, m)
+        if not cand_ads:
             if log is not None:
                 log.append(IterationLog(j, (), None, float("nan"), False, False,
                                         before, before))
             continue
-        best_i = None
-        best_score = 0.0
-        for i in cands:
-            t = tau.get(i)
-            if t is None:
-                score = inst.reward(i, j)
-            else:
-                score = inst.reward(i, j) - t * s ** (sigma[i] - j)
-            scored += 1
-            if best_i is None or score > best_score:
-                best_i, best_score = i, score
+        best_i = best_r = None
+        best_score = -math.inf
+        for i, r in zip(cand_ads, cand_rewards):
+            t = tau[i]
+            score = r if t is None else r - t * powers[sigma[i] - j]
+            if score > best_score:
+                best_i, best_score, best_r = i, score, r
+        scored += len(cand_ads)
         g_lb = best_score - q * cur
         committed = g_lb > 0.0
         reassigned = False
         if committed:
             commits += 1
-            r = inst.reward(best_i, j)
-            reassigned = best_i in sigma
+            reassigned = tau[best_i] is not None
             if reassigned:
                 reassigns += 1
-                entries = [e for e in entries if e[1] != best_i]
-            entries.insert(0, (j, best_i, r))
-            sigma[best_i] = j
-            if reassigned:
-                # removing the old edge changes f_j and every later tau
-                f = entry_suffixes(_entry_pairs(entries), q)
-                cur = f[0]
-                for (_slot, ad, rr), fp in zip(entries, f):
-                    tau[ad] = rr - q * fp
+                k = slots.index(sigma[best_i])
+                lo = min(k, len(slots) - rolled)
+                del slots[k], ads[k], rewards[k], fs[k]
+                for i, r, f in zip(ads[lo:k], rewards[lo:k], fs[lo:k]):
+                    tau[i] = r - q * f
+                # the entries below k change their f
+                slot, r, f = _above(slots, rewards, fs, k)
+                for p, i, below, r_below in zip(range(k, len(slots)), ads[k:],
+                                                slots[k:], rewards[k:]):
+                    f = powers[slot - below] * (r + s * f)
+                    fs[p] = f
+                    tau[i] = r_below - q * f
+                    slot, r = below, r_below
+                rolled = 0
+                cur = _head(slots, rewards, fs, j, s, powers)
+                f = cur
             else:
-                tau[best_i] = r - q * cur
+                rolled += 1
+                f = _head(slots, rewards, fs, j, s, powers)
+            tau[best_i] = best_r - q * cur
+            sigma[best_i] = j
+            slots.append(j)
+            ads.append(best_i)
+            rewards.append(best_r)
+            fs.append(f)
         if log is not None:
-            log.append(IterationLog(j, tuple(cands), best_i if committed else None,
+            log.append(IterationLog(j, tuple(cand_ads),
+                                    best_i if committed else None,
                                     g_lb, committed, reassigned,
                                     before,
-                                    _snapshot(_entry_pairs(entries), q, m)))
-    alloc = Allocation(entries=tuple((j, i) for j, i, _ in entries),
-                       mode=Mode.MATCHING)
+                                    _snapshot(zip(slots, rewards), q, m)))
+    alloc = Allocation(entries=tuple(zip(slots, ads)), mode=Mode.MATCHING)
     reward = expected_reward(inst, alloc)
     return SolveReport(algorithm="gbp", allocation=alloc, expected_reward=reward,
                        wall_time=time.perf_counter() - t0,
@@ -234,9 +259,27 @@ def nonoblivious_backwards_greedy(inst, log=None):
                                  "reassignments": reassigns})
 
 
-def _entry_pairs(entries):
-    """(slot, reward) pairs of slot-sorted (slot, ad, reward) entries."""
-    return [(j, r) for j, _i, r in entries]
+def _powers(s, m):
+    """powers[k] = (1-q)^k for k = 0..2m + 1, as ``entry_suffixes`` and
+    direct evaluation compute it."""
+    return [s ** k for k in range(2 * m + 2)]
+
+
+def _above(slots, rewards, fs, k):
+    """(slot, reward, f) of the entry above position k of slot-descending
+    entries, from which ``entry_suffixes``'s recursion restarts at k.  Above
+    the top entry it is a zero reward at the entry's own slot, which gives
+    the top entry f = 0 exactly."""
+    if k:
+        return slots[k - 1], rewards[k - 1], fs[k - 1]
+    return (slots[0] if slots else 0), 0.0, 0.0
+
+
+def _head(slots, rewards, fs, j, s, powers):
+    """f_j(M) of slot-descending entries that all lie after slot j."""
+    if not slots:
+        return 0.0
+    return powers[slots[-1] - j] * (rewards[-1] + s * fs[-1])
 
 
 def instrumented_run(algorithm, inst, **kwargs):

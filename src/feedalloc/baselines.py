@@ -114,11 +114,8 @@ def _scan_slots(inst, threshold, max_assignments):
         if len(entries) >= limit:
             break
         best_i, best_r = None, -math.inf
-        for i in inst.candidates(j):
-            if i in used:
-                continue
-            r = inst.reward(i, j)
-            if r > best_r:
+        for i, r in zip(*inst.row(j)):
+            if r > best_r and i not in used:
                 best_i, best_r = i, r
         if best_i is not None and best_r > threshold:
             entries.append((j, best_i))
@@ -137,7 +134,7 @@ def forward_greedy(inst, max_assignments=None):
 def auto_threshold(inst):
     """Default online threshold: best reward of an ad allocation to the
     first slot (0 if slot 1 has no incident edges)."""
-    return max((inst.reward(i, 1) for i in inst.candidates(1)), default=0.0)
+    return max(inst.row(1)[1], default=0.0)
 
 
 def online_threshold(inst, threshold="auto", max_assignments=None):
@@ -155,9 +152,9 @@ def _static_weights(inst):
     (|E|, 3) array of (ad, slot, weight) rows, built without a tuple per
     edge."""
     s = 1.0 - inst.quit_prob
+    powers = np.array([s ** k for k in range(inst.num_slots + 1)])
     edges = np.array(inst.edges, dtype=np.float64).reshape(-1, 3)
-    edges[:, 2] = np.fromiter((r * s ** j for _i, j, r in inst.edges),
-                              dtype=np.float64, count=len(edges))
+    edges[:, 2] *= powers[edges[:, 1].astype(np.intp)]
     return edges
 
 

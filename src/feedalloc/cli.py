@@ -1,8 +1,9 @@
 """Command-line front end: generate instances, run solvers, verify
 allocations, simulate sessions, and run benchmark suites to CSV.
 
-Exit codes: 0 success; 1 usage error, e.g. a negative ``--n`` or a generator
-parameter the generator refuses; 2 an invalid instance (read, or generated
+Exit codes: 0 success; 1 usage error, e.g. a negative ``--n``, ``--n`` for a
+scheme whose generator takes no n, or a generator parameter the generator
+refuses; 2 an invalid instance (read, or generated
 from e.g. q >= 1) or allocation, a malformed input file or suite file, or an
 input or output file that cannot be opened; 3 oracle guard refusal.
 ``bench --time-limit`` never stops a run.
@@ -93,6 +94,12 @@ DEFAULT_ALGORITHMS = ["gb", "gbp", "global", "flowg", "flow", "mwm", "forward",
                    "online"]
 
 
+class _SchemeDefault(int):
+    """The value of an unset ``--n`` or ``--m``: the complete schemes'
+    generator default.  ``_config`` gives every scheme its own generator's
+    default instead."""
+
+
 def _count(text):
     """argparse type: a non-negative integer."""
     if not text.strip().isdecimal():
@@ -110,14 +117,23 @@ def _names(known):
     return names
 
 
+def _size_flags(parser):
+    help_tail = " (default: the scheme's generator default, %d for the " \
+        "complete schemes)"
+    parser.add_argument("--n", type=_count, default=_SchemeDefault(100),
+                        help="number of ads; only the complete schemes take "
+                             "it" + help_tail % 100)
+    parser.add_argument("--m", type=_count, default=_SchemeDefault(1000),
+                        help="number of slots" + help_tail % 1000)
+
+
 def build_parser():
     parser = _Parser(prog="feedalloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--scheme", required=True, choices=generators.SCHEMES)
-    p.add_argument("--n", type=_count, default=100)
-    p.add_argument("--m", type=_count, default=1000)
+    _size_flags(p)
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--seed", type=_count, default=1)
     p.add_argument("--C", type=float, default=None,
@@ -144,8 +160,7 @@ def build_parser():
     p.add_argument("--algorithms", type=_names(sorted(SOLVERS)), default=None)
     p.add_argument("--seeds", default="1,2,3",
                    type=lambda text: [_count(x) for x in text.split(",")])
-    p.add_argument("--n", type=_count, default=100)
-    p.add_argument("--m", type=_count, default=1000)
+    _size_flags(p)
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--k", type=_count, default=None)
     p.add_argument("--time-limit", type=float, default=3600.0,
@@ -181,9 +196,20 @@ def _generate(config):
         raise UsageError(str(exc)) from None
 
 
+def _config(scheme, n, m, q, seed):
+    """The GeneratorConfig of one scheme.  An unset n or m (None or a
+    ``_SchemeDefault``) takes the scheme's generator default; an n for a
+    scheme whose generator takes none is a usage error."""
+    n, m = (None if x is None or isinstance(x, _SchemeDefault) else x
+            for x in (n, m))
+    if n is not None and scheme not in generators.SIZED_SCHEMES:
+        raise UsageError("--n does not apply to scheme %s, whose generator "
+                         "sets the number of ads" % scheme)
+    return generators.GeneratorConfig(scheme=scheme, n=n, m=m, q=q, seed=seed)
+
+
 def cmd_gen(args):
-    config = generators.GeneratorConfig(scheme=args.scheme, n=args.n, m=args.m,
-                                        q=args.q, seed=args.seed)
+    config = _config(args.scheme, args.n, args.m, args.q, args.seed)
     if args.C is not None:
         config.params["C"] = args.C
     inst = _generate(config)
@@ -241,13 +267,13 @@ def _suite_defaults(path, parser):
 
 def run_bench(schemes, algorithms, seeds, n, m, q, k=None, time_limit=3600.0):
     """Run the cross product and return BenchRow dicts in deterministic
-    (scheme, seed, algorithm) order."""
+    (scheme, seed, algorithm) order.  n and m are as in ``_config``."""
+    for scheme in schemes:
+        _config(scheme, n, m, q, 1)  # refuse a bad n before any run
     rows = []
     for scheme in schemes:
         for seed in seeds:
-            config = generators.GeneratorConfig(scheme=scheme, n=n, m=m, q=q,
-                                                seed=seed)
-            inst = _generate(config)
+            inst = _generate(_config(scheme, n, m, q, seed))
             tag = "%s-n%d-m%d-q%s" % (scheme, inst.num_ads, inst.num_slots,
                                       _num(q))
             for algorithm in algorithms:

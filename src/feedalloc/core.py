@@ -12,24 +12,34 @@ The expected reward of an allocation M is
 where B(j) is the number of occupied slots strictly before j: the user must
 survive j item-views plus B(j) ad-views to reach the ad at slot j.
 
+``ProblemInstance`` keeps each slot's edges as a row: the ads in increasing
+index and their rewards in a parallel array of doubles (``row``).  The
+slot-scanning solvers read the rows; ``reward`` bisects one.
 ``checked_pairs`` is the one place an allocation is checked and its rewards
-read.  Three evaluators compute f and its suffix values f_j(M), one job each:
+read.  Three evaluators compute f and its suffix values f_j(M), one job
+each:
 
 - ``suffix_value``: the direct fold.  It is the reference behind
   ``expected_reward``, ``suffix_reward`` and the brute-force oracles.
-- ``SuffixTree``: incremental insert, remove and query in O(log m), for the
-  solvers that grow an allocation (``backwards_greedy``, ``global_greedy``).
+- ``SuffixTree``: insert, remove and query in O(log m) at any slot, for
+  ``global_greedy``, which commits slots in no fixed order, and for
+  ``backwards_greedy``, which queries it once per moved candidate.
 - ``entry_suffixes``: f_j(M) at every occupied slot in one backward pass,
-  for ``nonoblivious_backwards_greedy`` after a re-assignment,
-  ``prune_to_k``, ``suffix_vector``, ``decompose`` and ``feedalloc verify``.
+  for ``prune_to_k``, ``suffix_vector``, ``decompose`` and
+  ``feedalloc verify``.  ``nonoblivious_backwards_greedy`` commits slots in
+  decreasing order, so it caches these values per entry and re-runs the
+  recursion below a re-assigned entry only.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
+from operator import eq, ge
 
 
 class Mode(Enum):
@@ -67,17 +77,31 @@ class ProblemInstance:
             self.edges = tuple((int(i), int(j), float(r)) for i, j, r in given)
         except (ValueError, OverflowError):  # int() of a NaN or an infinity
             self.edges = ()
-        self._reward = {(i, j): r for i, j, r in self.edges}
-        self._by_slot = defaultdict(list)
-        ok = len(self._reward) == len(given)  # converted, no repeated pair
+        ads_at, rewards_at = {}, {}
+        ok = len(self.edges) == len(given)  # every edge converted
         for (i, j, r), (raw_i, raw_j, _r) in zip(self.edges, given):
-            self._by_slot[j].append(i)
+            ads = ads_at.get(j)
+            if ads is None:
+                ads_at[j], rewards_at[j] = [i], [r]
+            else:
+                ads.append(i)
+                rewards_at[j].append(r)
             # int() truncates, so an index must equal its conversion
             if not (1 <= i <= n and 1 <= j <= m and 0.0 <= r < inf
                     and i == raw_i and j == raw_j):
                 ok = False
-        for ads in self._by_slot.values():
-            ads.sort()
+        for j, ads in ads_at.items():
+            if any(map(ge, ads, islice(ads, 1, None))):  # not ascending
+                order = sorted(range(len(ads)), key=ads.__getitem__)
+                rewards = rewards_at[j]
+                ads[:] = [ads[k] for k in order]
+                rewards[:] = [rewards[k] for k in order]
+                if any(map(eq, ads, islice(ads, 1, None))):  # repeated pair
+                    ok = False
+        for j, rewards in rewards_at.items():
+            # contiguous doubles: a row scan reads no scattered float objects
+            rewards_at[j] = array("d", rewards)
+        self._ads, self._rewards = ads_at, rewards_at
         if not (ok and 0.0 <= self.quit_prob < 1.0 and _is_count(n)
                 and _is_count(m)):
             raise InvalidInstanceError(
@@ -85,11 +109,22 @@ class ProblemInstance:
                 + "; ".join(_instance_problems(n, m, self.quit_prob, given)))
 
     def reward(self, ad, slot):
-        return self._reward[(ad, slot)]
+        """r_{ad, slot}; raises ``KeyError`` if there is no such edge."""
+        ads = self._ads.get(slot, ())
+        k = bisect_left(ads, ad)
+        if k == len(ads) or ads[k] != ad:
+            raise KeyError((ad, slot))
+        return self._rewards[slot][k]
 
     def candidates(self, slot):
         """Ads with an edge to ``slot``, in increasing ad index."""
-        return self._by_slot.get(slot, [])
+        return self._ads.get(slot, [])
+
+    def row(self, slot):
+        """(ads, rewards) of ``slot``: ``candidates(slot)`` and, in the same
+        order, the reward of each of those edges as an ``array('d')``.
+        Read-only."""
+        return self._ads.get(slot, ()), self._rewards.get(slot, ())
 
 
 @dataclass(frozen=True)
@@ -177,8 +212,10 @@ def validate_allocation(inst, alloc):
         if alloc.mode is Mode.MATCHING and i in ads_used:
             problems.append("ad %d used more than once in matching mode" % i)
         ads_used.add(i)
-        r = inst._reward.get((i, j))
-        if r is None:
+        try:
+            r = inst.reward(i, j)
+        except KeyError:
+            r = None
             problems.append("entry (slot %d, ad %d) is not an instance edge" % (j, i))
         pairs.append((j, r))
     object.__setattr__(alloc, "_checked", (inst, tuple(problems), tuple(pairs)))

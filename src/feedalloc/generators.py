@@ -23,11 +23,19 @@ SCHEMES = ("symmetric", "heavy_top", "heavy_bottom", "finely_targeted",
            "adversarial", "session_youtube", "session_blocks")
 
 
+# the schemes whose generator takes the number of ads n
+SIZED_SCHEMES = ("symmetric", "heavy_top", "heavy_bottom", "finely_targeted")
+
+
 @dataclass
 class GeneratorConfig:
+    """A scheme and its parameters; an n or m left at None takes the
+    scheme's generator default.  The adversarial and session schemes take
+    no n and ignore it."""
+
     scheme: str
-    n: int = 100
-    m: int = 1000
+    n: int | None = None
+    m: int | None = None
     q: float = 0.1
     seed: int = 1
     params: dict = field(default_factory=dict)
@@ -36,22 +44,32 @@ class GeneratorConfig:
 def generate(config):
     """Dispatch a GeneratorConfig to the matching generator."""
     p = config.params
+    size = {} if config.m is None else {"m": config.m}
+    if config.scheme in SIZED_SCHEMES and config.n is not None:
+        size["n"] = config.n
     if config.scheme == "symmetric":
-        return gen_symmetric(config.n, config.m, config.q, config.seed,
-                             integer=p.get("integer", False))
+        return gen_symmetric(q=config.q, seed=config.seed,
+                             integer=p.get("integer", False), **size)
     if config.scheme == "heavy_top":
-        return gen_asymmetric(config.n, config.m, config.q, config.seed, "top")
+        return gen_asymmetric(q=config.q, seed=config.seed, direction="top",
+                              **size)
     if config.scheme == "heavy_bottom":
-        return gen_asymmetric(config.n, config.m, config.q, config.seed, "bottom")
+        return gen_asymmetric(q=config.q, seed=config.seed,
+                              direction="bottom", **size)
     if config.scheme == "finely_targeted":
-        return gen_finely_targeted(config.n, config.m, config.q, config.seed)
+        return gen_finely_targeted(q=config.q, seed=config.seed, **size)
     if config.scheme == "adversarial":
+        if config.m is None:
+            raise ValueError("the adversarial scheme needs m")
+        if "C" not in p and 2 * config.m - 1 > 1023:
+            raise ValueError("the default C = 2^(2m-1) of the adversarial "
+                             "scheme overflows for m > 512; give C")
         return gen_adversarial(config.m, p.get("C", 2.0 ** (2 * config.m - 1)),
                                config.q)
     if config.scheme == "session_youtube":
-        return gen_session_youtube(m=config.m, q=config.q, seed=config.seed, **p)
+        return gen_session_youtube(q=config.q, seed=config.seed, **size, **p)
     if config.scheme == "session_blocks":
-        return gen_session_blocks(m=config.m, q=config.q, seed=config.seed, **p)
+        return gen_session_blocks(q=config.q, seed=config.seed, **size, **p)
     raise ValueError("unknown scheme %r (choose from %s)" % (config.scheme,
                                                              ", ".join(SCHEMES)))
 
@@ -62,7 +80,7 @@ def _complete(n, m, q, rewards):
     return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q, edges=edges)
 
 
-def gen_symmetric(n, m, q=0.1, seed=1, integer=False):
+def gen_symmetric(n=100, m=1000, q=0.1, seed=1, integer=False):
     """Complete bipartite graph, rewards uniform from 1 to 10 (continuous by
     default; ``integer`` switches to the integer-uniform reading)."""
     rng = np.random.default_rng(seed)
@@ -73,7 +91,7 @@ def gen_symmetric(n, m, q=0.1, seed=1, integer=False):
     return _complete(n, m, q, rewards)
 
 
-def gen_asymmetric(n, m, q=0.1, seed=1, direction="top"):
+def gen_asymmetric(n=100, m=1000, q=0.1, seed=1, direction="top"):
     """Position-dependent rewards: w * (m-j)/m for heavy tops or w * j/m for
     heavy bottoms, with w uniform in [1, 10] per edge."""
     if direction not in ("top", "bottom"):
@@ -85,7 +103,7 @@ def gen_asymmetric(n, m, q=0.1, seed=1, direction="top"):
     return _complete(n, m, q, w * factor[None, :])
 
 
-def gen_finely_targeted(n, m, q=0.1, seed=1):
+def gen_finely_targeted(n=100, m=1000, q=0.1, seed=1):
     """Each ad rewards 10 at one uniformly chosen target slot, 1 elsewhere."""
     rng = np.random.default_rng(seed)
     rewards = np.ones((n, m))

@@ -8,8 +8,10 @@ from conftest import make_rng, sparse_instance
 from feedalloc.algorithms import (backwards_greedy, instrumented_run,
                                   nonoblivious_backwards_greedy)
 from feedalloc.baselines import flow_baseline
-from feedalloc.core import (Allocation, Mode, ProblemInstance, expected_reward,
-                            suffix_reward, suffix_value)
+from feedalloc.core import (Allocation, Mode, ProblemInstance, SuffixTree,
+                            entry_suffixes, expected_reward, suffix_reward,
+                            suffix_value)
+from feedalloc.generators import gen_session_blocks, gen_session_youtube
 from feedalloc.oracle import brute_force_mapping, brute_force_matching
 
 
@@ -86,6 +88,130 @@ def naive_backwards_greedy(inst, mode=Mode.MATCHING, initial=None,
     alloc = Allocation(entries=tuple((j, i) for j, i, _ in entries), mode=mode)
     return alloc, {"gain_evals": evals, "commits": commits,
                    "reassignments": reassigns}
+
+
+def tree_backwards_greedy(inst, mode=Mode.MATCHING, initial=None,
+                          frozen_slots=None):
+    """Reference exact-gain sweep on a ``SuffixTree``: f_j, f_sigma and the
+    entry counts are read from the tree, at O(log m) per re-assignable
+    candidate, and every reward through ``inst.reward``.  Returns the
+    allocation and the counters backwards_greedy reports."""
+    q = inst.quit_prob
+    m = inst.num_slots
+    matching = mode is Mode.MATCHING
+    tree = SuffixTree(m, q)
+    powers = tree.powers
+    rewards = {}          # slot -> reward of its entry
+    ad_at = {}            # slot -> ad of its entry
+    matched_slot = {}     # ad -> slot, matching mode only
+    for j, i in initial or ():
+        r = inst.reward(i, j)
+        rewards[j], ad_at[j] = r, i
+        tree.insert(j, r)
+        matched_slot[i] = j
+    locked = set(matched_slot)
+    frozen = frozen_slots or ()
+    evals = commits = reassigns = 0
+    for j in range(m, 0, -1):
+        if j in frozen:
+            continue
+        cands = inst.candidates(j)
+        if not cands:
+            continue
+        above, fj = tree.suffix(j)
+        best_i = None
+        best_g = 0.0
+        best_reassign = False
+        for i in cands:
+            if i in locked:
+                continue
+            g = inst.reward(i, j) - q * fj
+            reassign = matching and i in matched_slot
+            if reassign:
+                sigma = matched_slot[i]
+                after, f_sigma = tree.suffix(sigma)
+                # (1-q)^(sigma - j + p_i + 1), p_i = above - after - 1
+                g -= powers[sigma - j + above - after] \
+                    * (rewards[sigma] - q * f_sigma)
+            evals += 1
+            if best_i is None or g > best_g:
+                best_i, best_g, best_reassign = i, g, reassign
+        if best_g > 0.0:
+            commits += 1
+            if best_reassign:
+                reassigns += 1
+                old = matched_slot[best_i]
+                del rewards[old], ad_at[old]
+                tree.remove(old)
+            r = inst.reward(best_i, j)
+            rewards[j], ad_at[j] = r, best_i
+            tree.insert(j, r)
+            if matching:
+                matched_slot[best_i] = j
+    alloc = Allocation(entries=tuple(ad_at.items()), mode=mode)
+    return alloc, {"gain_evals": evals, "commits": commits,
+                   "reassignments": reassigns}
+
+
+def dict_nonoblivious_backwards_greedy(inst):
+    """Reference non-oblivious sweep: rewards read through ``inst.reward``,
+    per-ad tau and slot in dicts, and every tau recomputed by a full
+    ``entry_suffixes`` pass after a re-assignment.  Returns the allocation,
+    the counters nonoblivious_backwards_greedy reports and the gain bound
+    g_LB of every slot with candidates."""
+    q = inst.quit_prob
+    s = 1.0 - q
+    m = inst.num_slots
+    entries = []          # slot-ascending (slot, ad, reward)
+    tau = {}
+    sigma = {}            # ad -> matched slot
+    commits = reassigns = scored = 0
+    gains = []
+    cur = 0.0             # f_j(M) for the slot being processed
+    for j in range(m, 0, -1):
+        if j < m:
+            # roll f_{j+1} -> f_j over slot j+1 (one backward-recursion step)
+            if entries and entries[0][0] == j + 1:
+                r_next = entries[0][2]
+                cur = s * (cur + (r_next - q * cur))
+            else:
+                cur = s * cur
+        cands = inst.candidates(j)
+        if not cands:
+            continue
+        best_i = None
+        best_score = 0.0
+        for i in cands:
+            t = tau.get(i)
+            if t is None:
+                score = inst.reward(i, j)
+            else:
+                score = inst.reward(i, j) - t * s ** (sigma[i] - j)
+            scored += 1
+            if best_i is None or score > best_score:
+                best_i, best_score = i, score
+        gains.append(best_score - q * cur)
+        if gains[-1] > 0.0:
+            commits += 1
+            r = inst.reward(best_i, j)
+            reassigned = best_i in sigma
+            if reassigned:
+                reassigns += 1
+                entries = [e for e in entries if e[1] != best_i]
+            entries.insert(0, (j, best_i, r))
+            sigma[best_i] = j
+            if reassigned:
+                # removing the old edge changes f_j and every later tau
+                f = entry_suffixes([(jj, rr) for jj, _i, rr in entries], q)
+                cur = f[0]
+                for (_slot, ad, rr), fp in zip(entries, f):
+                    tau[ad] = rr - q * fp
+            else:
+                tau[best_i] = r - q * cur
+    alloc = Allocation(entries=tuple((j, i) for j, i, _ in entries),
+                       mode=Mode.MATCHING)
+    return alloc, {"scores": scored, "commits": commits,
+                   "reassignments": reassigns}, gains
 
 
 def _assert_same_as_oracle(inst, mode=Mode.MATCHING, **seed):
@@ -255,3 +381,79 @@ def test_gb_equals_naive_oracle_where_discounts_underflow():
     assert (1.0 - inst.quit_prob) ** inst.num_slots == 0.0
     for mode in (Mode.MATCHING, Mode.MAPPING):
         _assert_same_as_oracle(inst, mode)
+
+
+def _assert_same_as_previous_sweeps(inst, mode=Mode.MATCHING, **seed):
+    """backwards_greedy gives the entries and counters of the tree-based
+    reference, and (unseeded, matching mode) nonoblivious_backwards_greedy
+    those of the dict-based one."""
+    report = backwards_greedy(inst, mode=mode, **seed)
+    alloc, counters = tree_backwards_greedy(inst, mode=mode, **seed)
+    assert report.allocation.entries == alloc.entries
+    assert report.counters == counters
+    if mode is Mode.MATCHING and not seed:
+        report = nonoblivious_backwards_greedy(inst)
+        alloc, counters, _gains = dict_nonoblivious_backwards_greedy(inst)
+        assert report.allocation.entries == alloc.entries
+        assert report.counters == counters
+
+
+def _tie_instance(rng, n, m, q, density):
+    """Integer rewards 1..4, so equal gains and scores are common."""
+    edges = [(i, j, float(rng.randint(1, 4))) for i in range(1, n + 1)
+             for j in range(1, m + 1) if rng.random() < density]
+    return _inst(n, m, q, edges)
+
+
+@pytest.mark.parametrize("mode", [Mode.MATCHING, Mode.MAPPING])
+@pytest.mark.parametrize("make", [_float_instance, _tie_instance])
+def test_sweeps_equal_previous_sweeps(mode, make):
+    rng = make_rng(30)
+    for _ in range(300):
+        inst = make(rng, rng.randint(1, 10), rng.randint(1, 30),
+                    rng.choice((0.0, 0.05, 0.1, 0.3, 0.6, 0.9)),
+                    rng.uniform(0.2, 1.0))
+        _assert_same_as_previous_sweeps(inst, mode)
+
+
+@pytest.mark.parametrize("make", [_float_instance, _tie_instance])
+def test_seeded_sweep_equals_previous_sweep(make):
+    rng = make_rng(31)
+    for _ in range(200):
+        inst = make(rng, rng.randint(1, 10), rng.randint(1, 30),
+                    rng.choice((0.05, 0.1, 0.2, 0.3)), rng.uniform(0.2, 1.0))
+        flow = flow_baseline(inst).allocation
+        for mode in (Mode.MATCHING, Mode.MAPPING):
+            _assert_same_as_previous_sweeps(inst, mode, initial=flow.entries,
+                                            frozen_slots=set(flow.slots()))
+
+
+@pytest.mark.parametrize("make", [_float_instance, _tie_instance])
+def test_gbp_gains_equal_previous_sweep_bit_for_bit(make):
+    # after a re-assignment every tau, also that of an entry added since
+    # the previous one, comes from the entry_suffixes recursion
+    rng = make_rng(33)
+    for _ in range(200):
+        inst = make(rng, rng.randint(1, 10), rng.randint(1, 30),
+                    rng.choice((0.05, 0.1, 0.3, 0.6)), rng.uniform(0.2, 1.0))
+        _report, logs = instrumented_run(nonoblivious_backwards_greedy, inst)
+        _alloc, _counters, gains = dict_nonoblivious_backwards_greedy(inst)
+        assert [log.gain for log in logs if log.candidates] == gains
+
+
+def test_sweeps_equal_previous_sweeps_where_discounts_underflow():
+    rng = make_rng(32)
+    inst = _float_instance(rng, 5, 8000, 0.1, 0.002)
+    assert (1.0 - inst.quit_prob) ** inst.num_slots == 0.0
+    for mode in (Mode.MATCHING, Mode.MAPPING):
+        _assert_same_as_previous_sweeps(inst, mode)
+
+
+def test_sweeps_equal_previous_sweeps_on_session_instances():
+    for seed in (1, 2):
+        for inst in (gen_session_blocks(m=60, seed=seed, blocks=6,
+                                        categories=8, slots_per_block=5),
+                     gen_session_youtube(m=40, seed=seed, advertisers=3,
+                                         num_categories=4)):
+            for mode in (Mode.MATCHING, Mode.MAPPING):
+                _assert_same_as_previous_sweeps(inst, mode)

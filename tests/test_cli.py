@@ -37,6 +37,46 @@ def test_gen_writes_readable_instance(tmp_path, capsys):
     assert inst.num_ads == 4 and inst.num_slots == 6
 
 
+def test_gen_defaults_to_the_scheme_generator_size(tmp_path, capsys):
+    out = tmp_path / "sb.txt"
+    assert cli.main(["gen", "--scheme", "session_blocks", "--out", str(out)]) \
+        == cli.EXIT_OK
+    assert "n=14400 m=1440 " in capsys.readouterr().out
+    inst = core.read_instance(out)
+    assert (inst.num_ads, inst.num_slots, len(inst.edges)) \
+        == (14400, 1440, 144000)
+    assert cli.main(["gen", "--scheme", "session_youtube", "--m", "30",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert "n=120 m=30 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--scheme", "session_blocks", "--n", "100"],
+    ["gen", "--scheme", "session_youtube", "--n", "5", "--m", "10"],
+    ["gen", "--scheme", "adversarial", "--n", "5", "--m", "10"],
+    ["gen", "--scheme", "adversarial"],            # no m, no default
+    ["gen", "--scheme", "adversarial", "--m", "600"],  # 2^(2m-1) overflows
+    ["bench", "--schemes", "symmetric,session_blocks", "--n", "5"],
+])
+def test_size_a_scheme_does_not_take_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert "usage error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_sizes_each_scheme_by_its_generator(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--schemes", "session_youtube,symmetric",
+                     "--algorithms", "gbp", "--seeds", "1", "--m", "12",
+                     "--out", str(out)]) == cli.EXIT_OK
+    with open(out, newline="") as fh:
+        sizes = [(row["scheme"], row["n"], row["m"])
+                 for row in csv.DictReader(fh)]
+    assert sizes == [("session_youtube", "120", "12"),
+                     ("symmetric", "100", "12")]
+
+
 def test_solve_reports_reward_and_writes_allocation(tmp_path, capsys):
     inst, path = _write_inst(tmp_path)
     alloc_out = tmp_path / "alloc.txt"

@@ -300,6 +300,69 @@ def test_construction_refuses_exactly_the_invalid_inputs(args):
     assert back.edges == inst.edges == tuple(edges)
 
 
+def _listed_problems(reward, entries, matching):
+    """validate_allocation's messages, from a plain (ad, slot) -> reward
+    dict."""
+    problems, used, prev = [], set(), None
+    for j, i in sorted(entries):
+        if j == prev:
+            problems.append("slot %d assigned more than once" % j)
+        prev = j
+        if matching and i in used:
+            problems.append("ad %d used more than once in matching mode" % i)
+        used.add(i)
+        if (i, j) not in reward:
+            problems.append("entry (slot %d, ad %d) is not an instance edge"
+                            % (j, i))
+    return problems
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instance_inputs(), st.data())
+def test_rows_hold_every_edge_of_a_shuffled_list(args, data):
+    n, m, q, edges = args
+    edges = data.draw(st.permutations(edges))
+    if _has_problem(n, m, q, edges):
+        with pytest.raises(InvalidInstanceError) as err:
+            ProblemInstance(n, m, q, tuple(edges))
+        pairs = [(i, j) for i, j, _r in edges]
+        for k, pair in enumerate(pairs):
+            if pair in pairs[:k]:
+                assert "duplicate edge (%d, %d)" % pair in str(err.value)
+        return
+    inst = ProblemInstance(n, m, q, tuple(edges))
+    reward = {(i, j): r for i, j, r in edges}
+    for j in range(m + 2):
+        ads, rewards = inst.row(j)
+        assert list(ads) == inst.candidates(j) \
+            == sorted(i for i, slot in reward if slot == j)
+        assert list(rewards) == [reward[(i, j)] for i in ads]
+        for i in range(n + 2):
+            if (i, j) in reward:
+                assert inst.reward(i, j) == reward[(i, j)]
+            else:
+                with pytest.raises(KeyError):
+                    inst.reward(i, j)
+    entries = data.draw(st.lists(st.tuples(st.integers(1, m + 1),
+                                           st.integers(1, n + 1)),
+                                 max_size=6))
+    for mode in Mode:
+        problems = validate_allocation(inst, Allocation(entries, mode))
+        assert problems == _listed_problems(reward, entries,
+                                            mode is Mode.MATCHING)
+
+
+def test_validate_allocation_messages():
+    inst = _inst(2, 3, 0.1, [(2, 3, 1.0), (1, 2, 1.0), (1, 1, 1.0)])
+    alloc = Allocation(((1, 1), (1, 2), (2, 1), (3, 1)), Mode.MATCHING)
+    assert validate_allocation(inst, alloc) == [
+        "slot 1 assigned more than once",
+        "entry (slot 1, ad 2) is not an instance edge",
+        "ad 1 used more than once in matching mode",
+        "ad 1 used more than once in matching mode",
+        "entry (slot 3, ad 1) is not an instance edge"]
+
+
 @st.composite
 def _tree_runs(draw):
     """(m, q, toggles, bases): each toggle occupies a free slot with its
