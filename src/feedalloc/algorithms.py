@@ -16,7 +16,9 @@ suffix value and, after a re-assignment, re-runs ``core.entry_suffixes``'s
 recursion below the moved entry only, so it costs O(|E| + m + R * |M|) for
 R re-assignments.
 
-Both read the instance's per-slot rows (``ProblemInstance.row``).
+Both read the instance's per-slot rows (``ProblemInstance.row``).  Given a
+``log`` list, each appends one ``IterationLog`` of scalars per processed
+slot, so a traced run costs O(1) more per slot than an untraced one.
 """
 
 from __future__ import annotations
@@ -25,31 +27,27 @@ import math
 import time
 from dataclasses import dataclass
 
-from .core import (Allocation, Mode, SolveReport, SuffixTree,
-                   expected_reward, suffix_vector)
+from .core import Allocation, Mode, SolveReport, SuffixTree, expected_reward
 
 
 @dataclass
 class IterationLog:
-    """One record per processed slot, emitted in order j = m..1."""
+    """One record per processed slot, emitted in order j = m..1.
+
+    A record holds the slot's decision only, O(1) per slot.  The allocation
+    before and after it follows by replaying the committed records: add
+    (slot, chosen), after freeing the chosen ad's previous slot if the
+    record is a re-assignment."""
 
     slot: int
-    candidates: tuple
+    candidates: int      # number of ads with an edge to the slot
     chosen: int | None
     gain: float          # exact gain for backwards_greedy, g_LB for the proxy
     committed: bool
     reassigned: bool
-    suffix_before: tuple  # (f_0(M), ..., f_m(M)) before this slot's decision
-    suffix_after: tuple   # same, after
 
 
-def _snapshot(pairs, q, m):
-    """(f_0(M), ..., f_m(M)) of an allocation's (slot, reward) pairs."""
-    return tuple(suffix_vector(sorted(pairs), q, m))
-
-
-def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
-                     frozen_slots=None):
+def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
     """Exact-gain backwards greedy.
 
     At slot j every candidate ad i is tried as M_i = M + (i, j); in matching
@@ -77,11 +75,11 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
     part of the contract.
 
     ``initial`` seeds the matching with pre-assigned (slot, ad) pairs whose
-    slots (listed in ``frozen_slots``) are excluded from processing; the
-    seeded ads are locked and never touched.  This lets the sweep run on top
-    of another algorithm's partial solution (the flow baseline uses this):
-    re-assigning a locked ad would vacate a slot that is never revisited,
-    so the gain rule would overstate its value.
+    slots are excluded from processing; the seeded ads are locked and never
+    touched.  This lets the sweep run on top of another algorithm's partial
+    solution (the flow baseline uses this): re-assigning a locked ad would
+    vacate a slot that is never revisited, so the gain rule would overstate
+    its value.
     """
     t0 = time.perf_counter()
     q = inst.quit_prob
@@ -98,18 +96,15 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
         tree.insert(j, r)
         matched_slot[i] = j
     locked = set(matched_slot)
-    frozen = frozen_slots or ()
+    frozen = set(ad_at)
     evals = commits = reassigns = 0
     for j in range(m, 0, -1):
         if j in frozen:
             continue
         cand_ads, cand_rewards = inst.row(j)
-        if log is not None:
-            before = _snapshot(rewards.items(), q, m)
         if not cand_ads:
             if log is not None:
-                log.append(IterationLog(j, (), None, float("nan"), False, False,
-                                        before, before))
+                log.append(IterationLog(j, 0, None, float("nan"), False, False))
             continue
         above, fj = tree.suffix(j)
         best_i = best_r = None
@@ -142,11 +137,9 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None,
             if matching:
                 matched_slot[best_i] = j
         if log is not None:
-            log.append(IterationLog(j, tuple(cand_ads),
-                                    best_i if committed else None,
-                                    best_g, committed,
-                                    committed and best_reassign,
-                                    before, _snapshot(rewards.items(), q, m)))
+            log.append(IterationLog(j, len(cand_ads),
+                                    best_i if committed else None, best_g,
+                                    committed, committed and best_reassign))
     alloc = Allocation(entries=tuple(ad_at.items()), mode=mode)
     reward = expected_reward(inst, alloc)
     name = "gb" if matching else "gb-mapping"
@@ -197,12 +190,9 @@ def nonoblivious_backwards_greedy(inst, log=None):
             else:
                 cur = s * cur
         cand_ads, cand_rewards = inst.row(j)
-        if log is not None:
-            before = _snapshot(zip(slots, rewards), q, m)
         if not cand_ads:
             if log is not None:
-                log.append(IterationLog(j, (), None, float("nan"), False, False,
-                                        before, before))
+                log.append(IterationLog(j, 0, None, float("nan"), False, False))
             continue
         best_i = best_r = None
         best_score = -math.inf
@@ -246,11 +236,9 @@ def nonoblivious_backwards_greedy(inst, log=None):
             rewards.append(best_r)
             fs.append(f)
         if log is not None:
-            log.append(IterationLog(j, tuple(cand_ads),
-                                    best_i if committed else None,
-                                    g_lb, committed, reassigned,
-                                    before,
-                                    _snapshot(zip(slots, rewards), q, m)))
+            log.append(IterationLog(j, len(cand_ads),
+                                    best_i if committed else None, g_lb,
+                                    committed, reassigned))
     alloc = Allocation(entries=tuple(zip(slots, ads)), mode=Mode.MATCHING)
     reward = expected_reward(inst, alloc)
     return SolveReport(algorithm="gbp", allocation=alloc, expected_reward=reward,

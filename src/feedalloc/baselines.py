@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from operator import itemgetter
 
 import numpy as np
 
@@ -61,29 +60,32 @@ def global_greedy(inst, max_assignments=None):
     limit = math.inf if max_assignments is None else max_assignments
     tree = SuffixTree(inst.num_slots, q)
     powers = tree.powers
-    # each slot's (r, i) candidates, the best (largest r, then smallest i)
-    # last; the second sort is stable, so equal rewards keep i descending
-    rows = {}
-    for i, j, r in inst.edges:
-        rows.setdefault(j, []).append((r, i))
-    for row in rows.values():
-        row.sort(key=itemgetter(1), reverse=True)
-        row.sort(key=itemgetter(0))
+    # each slot's row positions by reward, the best (largest r, then
+    # smallest i) last: the row's ads ascend and the stable sort takes the
+    # positions in descending order, so equal rewards keep i descending
+    rows = {}             # slot -> (ads, rewards, order)
+    heap = []
+    for j in range(1, inst.num_slots + 1):
+        ads, rewards = inst.row(j)
+        if ads:
+            order = sorted(range(len(ads) - 1, -1, -1),
+                           key=rewards.__getitem__)
+            rows[j] = ads, rewards, order
+            # initial gain on the empty allocation: r * (1-q)^j
+            heap.append((-(rewards[order[-1]] * powers[j]), j))
+    heapq.heapify(heap)
     entries = []
     used_ads = set()
-    # initial gains on the empty allocation: r * (1-q)^j
-    heap = [(-(row[-1][0] * powers[j]), j) for j, row in rows.items()]
-    heapq.heapify(heap)
     pops = reevals = 0
     while heap and len(entries) < limit:
         _neg_bound, j = heapq.heappop(heap)
         pops += 1
-        row = rows[j]
-        while row and row[-1][1] in used_ads:
-            row.pop()
-        if not row:
+        ads, rewards, order = rows[j]
+        while order and ads[order[-1]] in used_ads:
+            order.pop()
+        if not order:
             continue
-        r, i = row[-1]
+        r, i = rewards[order[-1]], ads[order[-1]]
         after, fj = tree.suffix(j)
         g = powers[j + len(entries) - after] * (r - q * fj)
         reevals += 1
@@ -199,8 +201,7 @@ def flow_greedy(inst):
     t0 = time.perf_counter()
     base = flow_baseline(inst)
     sweep = backwards_greedy(inst, mode=Mode.MATCHING,
-                             initial=base.allocation.entries,
-                             frozen_slots=set(base.allocation.slots()))
+                             initial=base.allocation.entries)
     counters = dict(base.counters)
     counters["greedy_added"] = len(sweep.allocation) - len(base.allocation)
     return _report("flowg", inst, sweep.allocation.entries, t0, counters)

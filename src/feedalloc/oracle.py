@@ -83,10 +83,11 @@ def brute_force_mapping(inst):
         raise OracleGuardError("brute-force mapping limited to m <= %d slots, "
                                "got %d" % (MAX_BF_SLOTS, inst.num_slots))
     best_edge = {}  # slot -> (reward, ad); ties keep the lowest ad index
-    for i, j, r in inst.edges:
-        cur = best_edge.get(j)
-        if cur is None or r > cur[0] or (r == cur[0] and i < cur[1]):
-            best_edge[j] = (r, i)
+    for j in range(1, inst.num_slots + 1):
+        ads, rewards = inst.row(j)
+        if ads:
+            r = max(rewards)
+            best_edge[j] = (r, ads[rewards.index(r)])
     slots = sorted(best_edge)
     best_value, best_mask = 0.0, 0
     for mask in range(1 << len(slots)):

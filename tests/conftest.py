@@ -1,10 +1,11 @@
-"""Shared helpers: seeded random instances and random valid allocations."""
+"""Shared helpers: seeded random instances, random valid allocations and
+the suffix vectors of a solver trace."""
 
 import random
 
 from hypothesis import strategies as st
 
-from feedalloc.core import Allocation, Mode, ProblemInstance
+from feedalloc.core import Allocation, Mode, ProblemInstance, suffix_vector
 
 
 def sparse_instance(rng, n_max=5, m_max=6, q_choices=(0.0, 0.1, 0.3, 0.6),
@@ -38,6 +39,37 @@ def random_matching(inst, rng):
         used_slots.add(j)
         entries.append((j, i))
     return Allocation(entries=tuple(entries), mode=Mode.MATCHING)
+
+
+def replay_trace(logs, initial=()):
+    """The allocation before the first record of a ``backwards_greedy`` or
+    ``nonoblivious_backwards_greedy`` trace and after each record, as
+    slot-sorted (slot, ad) entries.  It starts at the (slot, ad) pairs of
+    ``initial``; a committed record adds (slot, chosen), after freeing the
+    chosen ad's previous slot if the record is a re-assignment.  Every slot
+    is decided once, so a record's slot is always empty before it."""
+    ad_at = dict(initial)                           # slot -> ad
+    slot_of = {i: j for j, i in ad_at.items()}      # ad -> slot
+    states = [tuple(sorted(ad_at.items()))]
+    for rec in logs:
+        assert rec.slot not in ad_at, rec
+        if rec.committed:
+            if rec.reassigned:
+                del ad_at[slot_of[rec.chosen]]
+            ad_at[rec.slot] = rec.chosen
+            slot_of[rec.chosen] = rec.slot
+        states.append(tuple(sorted(ad_at.items())))
+    return states
+
+
+def replay_suffixes(inst, logs, initial=()):
+    """The suffix vectors (f_0(M), ..., f_m(M)) before and after each record
+    of a trace, as (before, after) pairs, from ``replay_trace``."""
+    q, m = inst.quit_prob, inst.num_slots
+    vectors = [tuple(suffix_vector([(j, inst.reward(i, j)) for j, i in state],
+                                   q, m))
+               for state in replay_trace(logs, initial)]
+    return list(zip(vectors, vectors[1:]))
 
 
 def make_rng(seed):

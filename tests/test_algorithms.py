@@ -1,10 +1,11 @@
 """Backwards greedy (exact gain) and its non-oblivious variant."""
 
 import bisect
+import dataclasses
 
 import pytest
 
-from conftest import make_rng, sparse_instance
+from conftest import make_rng, replay_suffixes, replay_trace, sparse_instance
 from feedalloc.algorithms import (backwards_greedy, instrumented_run,
                                   nonoblivious_backwards_greedy)
 from feedalloc.baselines import flow_baseline
@@ -42,11 +43,11 @@ def _suffix_eval(entries, q, base, skip_ad=None, extra=None):
     return total
 
 
-def naive_backwards_greedy(inst, mode=Mode.MATCHING, initial=None,
-                           frozen_slots=None):
+def naive_backwards_greedy(inst, mode=Mode.MATCHING, initial=None):
     """Reference implementation: score every candidate by re-evaluating the
     whole suffix, g_i = f_{j-1}(M_i) / (1-q) - f_j(M), at O(|E| * |M|).
-    Returns the allocation and the counters backwards_greedy reports."""
+    The slots of ``initial`` are skipped and its ads locked.  Returns the
+    allocation and the counters backwards_greedy reports."""
     q = inst.quit_prob
     s = 1.0 - q
     entries = []          # slot-ascending (slot, ad, reward)
@@ -56,7 +57,7 @@ def naive_backwards_greedy(inst, mode=Mode.MATCHING, initial=None,
         entries = sorted((j, i, inst.reward(i, j)) for j, i in initial)
         matched_slot = {i: j for j, i, _ in entries}
         locked = set(matched_slot)
-    frozen = frozen_slots or ()
+    frozen = {j for j, _i, _r in entries}
     evals = commits = reassigns = 0
     for j in range(inst.num_slots, 0, -1):
         cands = inst.candidates(j)
@@ -90,8 +91,7 @@ def naive_backwards_greedy(inst, mode=Mode.MATCHING, initial=None,
                    "reassignments": reassigns}
 
 
-def tree_backwards_greedy(inst, mode=Mode.MATCHING, initial=None,
-                          frozen_slots=None):
+def tree_backwards_greedy(inst, mode=Mode.MATCHING, initial=None):
     """Reference exact-gain sweep on a ``SuffixTree``: f_j, f_sigma and the
     entry counts are read from the tree, at O(log m) per re-assignable
     candidate, and every reward through ``inst.reward``.  Returns the
@@ -110,7 +110,7 @@ def tree_backwards_greedy(inst, mode=Mode.MATCHING, initial=None,
         tree.insert(j, r)
         matched_slot[i] = j
     locked = set(matched_slot)
-    frozen = frozen_slots or ()
+    frozen = set(ad_at)
     evals = commits = reassigns = 0
     for j in range(m, 0, -1):
         if j in frozen:
@@ -287,11 +287,10 @@ def test_gb_log_gains_match_suffix_snapshots():
         inst = sparse_instance(rng, q_choices=(0.1, 0.3, 0.6))
         s = 1.0 - inst.quit_prob
         _report, logs = instrumented_run(backwards_greedy, inst)
-        for entry in logs:
+        for entry, (before, after) in zip(logs, replay_suffixes(inst, logs)):
             if not entry.committed:
                 continue
-            exact = entry.suffix_after[entry.slot - 1] / s \
-                - entry.suffix_before[entry.slot]
+            exact = after[entry.slot - 1] / s - before[entry.slot]
             assert entry.gain == pytest.approx(exact, rel=1e-9, abs=1e-9)
             assert entry.gain > 0.0
             assert entry.chosen is not None
@@ -303,11 +302,10 @@ def test_gbp_lower_bound_never_exceeds_exact_gain():
         inst = sparse_instance(rng, q_choices=(0.05, 0.1, 0.3, 0.6))
         s = 1.0 - inst.quit_prob
         _report, logs = instrumented_run(nonoblivious_backwards_greedy, inst)
-        for entry in logs:
+        for entry, (before, after) in zip(logs, replay_suffixes(inst, logs)):
             if not entry.committed:
                 continue
-            exact = entry.suffix_after[entry.slot - 1] / s \
-                - entry.suffix_before[entry.slot]
+            exact = after[entry.slot - 1] / s - before[entry.slot]
             assert entry.gain <= exact + 1e-9
 
 
@@ -324,7 +322,7 @@ def test_gbp_matches_gb_on_fresh_only_runs():
 def test_seeded_sweep_respects_frozen_and_locked():
     # flow-style seeding: ad 1 fixed at slot 1, sweep fills the rest
     inst = _inst(2, 3, 0.1, [(1, 1, 5.0), (1, 3, 50.0), (2, 2, 2.0)])
-    report = backwards_greedy(inst, initial=((1, 1),), frozen_slots={1})
+    report = backwards_greedy(inst, initial=((1, 1),))
     entries = dict(report.allocation.entries)
     # ad 1 stays at slot 1 even though slot 3 pays more
     assert entries[1] == 1
@@ -344,9 +342,9 @@ def test_suffix_values_are_consistent_with_final_allocation():
     for _ in range(30):
         inst = sparse_instance(rng)
         report, logs = instrumented_run(backwards_greedy, inst)
-        final = logs[-1].suffix_after if logs else ()
         if not logs:
             continue
+        final = replay_suffixes(inst, logs)[-1][1]
         for j in range(inst.num_slots + 1):
             assert final[j] == pytest.approx(
                 suffix_reward(inst, report.allocation, j), rel=1e-9, abs=1e-12)
@@ -370,8 +368,7 @@ def test_seeded_sweep_equals_naive_oracle():
                                rng.choice((0.05, 0.1, 0.2, 0.3)),
                                rng.uniform(0.2, 1.0))
         flow = flow_baseline(inst).allocation
-        _assert_same_as_oracle(inst, initial=flow.entries,
-                               frozen_slots=set(flow.slots()))
+        _assert_same_as_oracle(inst, initial=flow.entries)
 
 
 def test_gb_equals_naive_oracle_where_discounts_underflow():
@@ -424,8 +421,7 @@ def test_seeded_sweep_equals_previous_sweep(make):
                     rng.choice((0.05, 0.1, 0.2, 0.3)), rng.uniform(0.2, 1.0))
         flow = flow_baseline(inst).allocation
         for mode in (Mode.MATCHING, Mode.MAPPING):
-            _assert_same_as_previous_sweeps(inst, mode, initial=flow.entries,
-                                            frozen_slots=set(flow.slots()))
+            _assert_same_as_previous_sweeps(inst, mode, initial=flow.entries)
 
 
 @pytest.mark.parametrize("make", [_float_instance, _tie_instance])
@@ -457,3 +453,43 @@ def test_sweeps_equal_previous_sweeps_on_session_instances():
                                          num_categories=4)):
             for mode in (Mode.MATCHING, Mode.MAPPING):
                 _assert_same_as_previous_sweeps(inst, mode)
+
+
+def _traced_runs(inst):
+    """(report, logs, initial) of every traced sweep: gb in both modes,
+    gb seeded with the flow baseline's pairs, and gbp."""
+    flow = flow_baseline(inst).allocation.entries
+    for solver, kwargs in ((backwards_greedy, {"mode": Mode.MATCHING}),
+                           (backwards_greedy, {"mode": Mode.MAPPING}),
+                           (backwards_greedy, {"initial": flow}),
+                           (nonoblivious_backwards_greedy, {})):
+        report, logs = instrumented_run(solver, inst, **kwargs)
+        yield report, logs, kwargs.get("initial", ())
+
+
+@pytest.mark.parametrize("make", [_float_instance, _tie_instance])
+def test_replayed_trace_ends_at_the_reported_allocation(make):
+    rng = make_rng(34)
+    for _ in range(100):
+        inst = make(rng, rng.randint(1, 10), rng.randint(1, 30),
+                    rng.choice((0.05, 0.1, 0.3, 0.6)), rng.uniform(0.2, 1.0))
+        for report, logs, initial in _traced_runs(inst):
+            assert replay_trace(logs, initial)[-1] == report.allocation.entries
+
+
+def test_trace_records_hold_scalars_only():
+    # a trace costs O(1) per slot, so O(m) per run
+    rng = make_rng(35)
+    records = 0
+    for _ in range(50):
+        inst = _float_instance(rng, rng.randint(1, 10), rng.randint(1, 30),
+                               rng.choice((0.05, 0.1, 0.3)),
+                               rng.uniform(0.2, 1.0))
+        for _report, logs, _initial in _traced_runs(inst):
+            for rec in logs:
+                records += 1
+                for field in dataclasses.fields(rec):
+                    value = getattr(rec, field.name)
+                    assert value is None or type(value) in (int, float, bool), \
+                        (field.name, value)
+    assert records
