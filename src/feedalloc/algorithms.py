@@ -27,7 +27,8 @@ import math
 import time
 from dataclasses import dataclass
 
-from .core import Allocation, Mode, SolveReport, SuffixTree, expected_reward
+from .core import (Allocation, Mode, SolveReport, SuffixTree, discount_powers,
+                   expected_reward)
 
 
 @dataclass
@@ -174,7 +175,7 @@ def nonoblivious_backwards_greedy(inst, log=None):
     q = inst.quit_prob
     s = 1.0 - q
     m = inst.num_slots
-    powers = _powers(s, m)
+    powers = discount_powers(q, m)    # gaps between slots are below m
     slots, ads, rewards, fs = [], [], [], []   # slot-descending entries
     tau = [None] * (inst.num_ads + 1)   # ad -> tau, None while unmatched
     sigma = [0] * (inst.num_ads + 1)    # ad -> matched slot
@@ -245,12 +246,6 @@ def nonoblivious_backwards_greedy(inst, log=None):
                        wall_time=time.perf_counter() - t0,
                        counters={"scores": scored, "commits": commits,
                                  "reassignments": reassigns})
-
-
-def _powers(s, m):
-    """powers[k] = (1-q)^k for k = 0..2m + 1, as ``entry_suffixes`` and
-    direct evaluation compute it."""
-    return [s ** k for k in range(2 * m + 2)]
 
 
 def _above(slots, rewards, fs, k):

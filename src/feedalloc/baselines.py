@@ -16,7 +16,8 @@ import numpy as np
 
 from . import matching
 from .algorithms import backwards_greedy
-from .core import Allocation, Mode, SolveReport, SuffixTree, expected_reward
+from .core import (Allocation, Mode, SolveReport, SuffixTree, discount_powers,
+                   expected_reward)
 
 
 def _report(name, inst, entries, t0, counters=None, mode=Mode.MATCHING):
@@ -153,8 +154,7 @@ def _static_weights(inst):
     """Position-biased static weights w_ij = r_ij * (1-q)^j, as an
     (|E|, 3) array of (ad, slot, weight) rows, built without a tuple per
     edge."""
-    s = 1.0 - inst.quit_prob
-    powers = np.array([s ** k for k in range(inst.num_slots + 1)])
+    powers = np.array(discount_powers(inst.quit_prob, inst.num_slots + 1))
     edges = np.array(inst.edges, dtype=np.float64).reshape(-1, 3)
     edges[:, 2] *= powers[edges[:, 1].astype(np.intp)]
     return edges

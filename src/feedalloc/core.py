@@ -12,12 +12,13 @@ The expected reward of an allocation M is
 where B(j) is the number of occupied slots strictly before j: the user must
 survive j item-views plus B(j) ad-views to reach the ad at slot j.
 
-``ProblemInstance`` keeps each slot's edges as a row: the ads in increasing
-index and their rewards in a parallel array of doubles (``row``).  The
-slot-scanning solvers read the rows; ``reward`` bisects one.
-``checked_pairs`` is the one place an allocation is checked and its rewards
-read.  Three evaluators compute f and its suffix values f_j(M), one job
-each:
+``ProblemInstance`` checks each edge as it files it into its slot's row:
+the ads in increasing index and their rewards in a parallel array of
+doubles (``row``).  The slot-scanning solvers read the rows; ``reward``
+bisects one.  Every index, of an edge, an allocation entry or a suffix,
+must equal its ``int()``; none is truncated.  ``checked_pairs`` is the one
+place an allocation is checked and its rewards read.  Three evaluators
+compute f and its suffix values f_j(M), one job each:
 
 - ``suffix_value``: the direct fold.  It is the reference behind
   ``expected_reward``, ``suffix_reward`` and the brute-force oracles.
@@ -39,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
-from operator import eq, ge
+from operator import ge
 
 
 class Mode(Enum):
@@ -51,8 +52,14 @@ class InvalidInstanceError(ValueError):
     """An input the model forbids; the message lists every problem."""
 
 
-def _is_count(x):
-    return x >= 0 and x % 1 == 0
+def _converted(kind, x):
+    """``kind(x)`` if it equals ``x``, else NaN.  An index must equal its
+    ``int()`` and a real its ``float()``: none is truncated or parsed."""
+    try:
+        y = kind(x)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+    return y if y == x else math.nan
 
 
 @dataclass
@@ -61,8 +68,8 @@ class ProblemInstance:
 
     Ads are indexed 1..num_ads, slots 1..num_slots.  ``edges`` holds
     (ad, slot, reward) triples; the slot set of ad i is the set of slots
-    it has an edge to.  Construction raises ``InvalidInstanceError`` on
-    any input ``_instance_problems`` names, so no invalid instance exists.
+    it has an edge to.  Construction raises ``InvalidInstanceError`` on any
+    problem, so no invalid instance exists.
     """
 
     num_ads: int
@@ -71,42 +78,56 @@ class ProblemInstance:
     edges: tuple = ()
 
     def __post_init__(self):
-        n, m, inf = self.num_ads, self.num_slots, math.inf
-        given = tuple(self.edges)
-        try:
-            self.edges = tuple((int(i), int(j), float(r)) for i, j, r in given)
-        except (ValueError, OverflowError):  # int() of a NaN or an infinity
-            self.edges = ()
-        ads_at, rewards_at = {}, {}
-        ok = len(self.edges) == len(given)  # every edge converted
-        for (i, j, r), (raw_i, raw_j, _r) in zip(self.edges, given):
-            ads = ads_at.get(j)
-            if ads is None:
-                ads_at[j], rewards_at[j] = [i], [r]
-            else:
-                ads.append(i)
+        n, m = _converted(int, self.num_ads), _converted(int, self.num_slots)
+        problems = ["%s must be a non-negative integer" % name
+                    for name, count in (("num_ads", n), ("num_slots", m))
+                    if not count >= 0]    # NaN unless an integer
+        bad, inf = problems.append, math.inf
+        if not 0.0 <= _converted(float, self.quit_prob) < 1.0:
+            bad("quit_prob out of range [0, 1): %r" % (self.quit_prob,))
+        edges, ads_at, rewards_at = [], {}, {}
+        for edge in self.edges:
+            try:
+                raw_i, raw_j, raw_r = edge
+            except (TypeError, ValueError):
+                bad("edge %r: not an (ad, slot, reward) triple" % (edge,))
+                continue
+            try:
+                i, j, r = int(raw_i), int(raw_j), float(raw_r)
+            except (TypeError, ValueError, OverflowError):  # a bad field: NaN
+                i, j, r = (_converted(int, raw_i), _converted(int, raw_j),
+                           _converted(float, raw_r))
+            if i != raw_i or j != raw_j:  # int() truncated or parsed text
+                bad("edge (%r, %r): non-integer index" % (raw_i, raw_j))
+                continue
+            if not 1 <= i <= n:
+                bad("edge (%d, %d): ad index out of range" % (i, j))
+            if not 1 <= j <= m:
+                bad("edge (%d, %d): slot index out of range" % (i, j))
+            if not (0.0 <= r < inf and r == raw_r):
+                bad("edge (%d, %d): reward %r invalid" % (i, j, raw_r))
+            edges.append((i, j, r))
+            try:
+                ads_at[j].append(i)
                 rewards_at[j].append(r)
-            # int() truncates, so an index must equal its conversion
-            if not (1 <= i <= n and 1 <= j <= m and 0.0 <= r < inf
-                    and i == raw_i and j == raw_j):
-                ok = False
+            except KeyError:    # the slot's first edge
+                ads_at[j], rewards_at[j] = [i], [r]
         for j, ads in ads_at.items():
+            rewards = rewards_at[j]
             if any(map(ge, ads, islice(ads, 1, None))):  # not ascending
                 order = sorted(range(len(ads)), key=ads.__getitem__)
-                rewards = rewards_at[j]
                 ads[:] = [ads[k] for k in order]
                 rewards[:] = [rewards[k] for k in order]
-                if any(map(eq, ads, islice(ads, 1, None))):  # repeated pair
-                    ok = False
-        for j, rewards in rewards_at.items():
+                problems.extend("duplicate edge (%d, %d)" % (i, j)
+                                for i, prev in zip(islice(ads, 1, None), ads)
+                                if i == prev)
             # contiguous doubles: a row scan reads no scattered float objects
             rewards_at[j] = array("d", rewards)
+        if problems:
+            raise InvalidInstanceError("invalid instance: "
+                                       + "; ".join(problems))
+        self.edges = tuple(edges)
         self._ads, self._rewards = ads_at, rewards_at
-        if not (ok and 0.0 <= self.quit_prob < 1.0 and _is_count(n)
-                and _is_count(m)):
-            raise InvalidInstanceError(
-                "invalid instance: "
-                + "; ".join(_instance_problems(n, m, self.quit_prob, given)))
 
     def reward(self, ad, slot):
         """r_{ad, slot}; raises ``KeyError`` if there is no such edge."""
@@ -127,17 +148,32 @@ class ProblemInstance:
         return self._ads.get(slot, ()), self._rewards.get(slot, ())
 
 
+class InvalidAllocationError(ValueError):
+    """A non-integer entry, or a problem ``validate_allocation`` finds."""
+
+
 @dataclass(frozen=True)
 class Allocation:
-    """A frozen slot -> ad assignment, kept as slot-sorted (slot, ad) pairs."""
+    """A frozen slot -> ad assignment, kept as slot-sorted (slot, ad) pairs;
+    an entry whose slot or ad is not an integer raises at construction."""
 
     entries: tuple
     mode: Mode = Mode.MATCHING
     _checked: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(
-            (int(j), int(i)) for j, i in self.entries)))
+        entries = []
+        for entry in self.entries:
+            try:
+                j, i = entry
+                pair = int(j), int(i)
+            except (TypeError, ValueError, OverflowError):
+                pair = j = i = None
+            if pair != (j, i):  # no pair, or int() truncated or parsed text
+                raise InvalidAllocationError("invalid allocation: entry %r is "
+                                             "not a pair of integers" % (entry,))
+            entries.append(pair)
+        object.__setattr__(self, "entries", tuple(sorted(entries)))
 
     def __len__(self):
         return len(self.entries)
@@ -172,32 +208,6 @@ class SolveReport:
     counters: dict = field(default_factory=dict)
 
 
-def _instance_problems(n, m, q, edges):
-    """Every invariant an instance with these fields breaks: non-negative
-    integer n and m, 0 <= q < 1, integer indices in range, no repeated
-    (ad, slot) pair, finite non-negative rewards."""
-    problems = ["%s must be a non-negative integer" % name
-                for name, value in (("num_ads", n), ("num_slots", m))
-                if not _is_count(value)]
-    if not (0.0 <= q < 1.0):
-        problems.append("quit_prob out of range [0, 1): %r" % (q,))
-    seen = set()
-    for i, j, r in edges:
-        if i % 1 or j % 1:  # fractional, NaN or infinite
-            problems.append("edge (%r, %r): non-integer index" % (i, j))
-            continue
-        if (i, j) in seen:
-            problems.append("duplicate edge (%d, %d)" % (i, j))
-        seen.add((i, j))
-        if not (1 <= i <= n):
-            problems.append("edge (%d, %d): ad index out of range" % (i, j))
-        if not (1 <= j <= m):
-            problems.append("edge (%d, %d): slot index out of range" % (i, j))
-        if not (0.0 <= float(r) < math.inf):
-            problems.append("edge (%d, %d): reward %r invalid" % (i, j, r))
-    return problems
-
-
 def validate_allocation(inst, alloc):
     """Return a list of violations of ``alloc`` against ``inst``.  The same
     pass reads the rewards; ``alloc`` keeps both for the last ``inst``."""
@@ -220,10 +230,6 @@ def validate_allocation(inst, alloc):
         pairs.append((j, r))
     object.__setattr__(alloc, "_checked", (inst, tuple(problems), tuple(pairs)))
     return problems
-
-
-class InvalidAllocationError(ValueError):
-    """An allocation ``validate_allocation`` finds a problem with."""
 
 
 def checked_pairs(inst, alloc):
@@ -249,6 +255,11 @@ def suffix_value(pairs, q, base=0):
     return total
 
 
+def discount_powers(q, count):
+    """[(1-q)^k for k = 0..count - 1], as direct evaluation computes them."""
+    return [(1.0 - q) ** k for k in range(count)]
+
+
 class SuffixTree:
     """The occupied slots of an allocation, kept for suffix queries.
 
@@ -262,15 +273,11 @@ class SuffixTree:
     """
 
     def __init__(self, num_slots, q):
-        size = 1
-        while size <= num_slots + 1:
-            size <<= 1
+        size = 1 << (num_slots + 1).bit_length()  # a power of 2 > m + 1
         self._size = size
         self._count = [0] * (2 * size)
         self._value = [0.0] * (2 * size)
-        s = 1.0 - q
-        # powers[k] = (1-q)^k, as direct evaluation computes it
-        self.powers = [s ** k for k in range(2 * size + 1)]
+        self.powers = discount_powers(q, 2 * size + 1)
 
     def insert(self, slot, reward):
         """Occupy ``slot`` (which must be free) with ``reward``."""
@@ -329,9 +336,15 @@ def suffix_reward(inst, alloc, j):
     """f_j(M): expected reward counting only slots after j, with attention
     restarted at slot j.  f_0 equals the full objective; f_m is 0."""
     pairs = checked_pairs(inst, alloc)
-    if not (0 <= j <= inst.num_slots):
-        raise ValueError("suffix index %d outside 0..%d" % (j, inst.num_slots))
-    return suffix_value(pairs, inst.quit_prob, base=j)
+    return suffix_value(pairs, inst.quit_prob, base=_suffix_index(inst, j))
+
+
+def _suffix_index(inst, j):
+    """``j`` as an int; raises ``ValueError`` unless it is one in 0..m."""
+    k = _converted(int, j)
+    if not 0 <= k <= inst.num_slots:
+        raise ValueError("suffix index %r not in 0..%d" % (j, inst.num_slots))
+    return k
 
 
 def entry_suffixes(pairs, q):
@@ -375,8 +388,7 @@ def decompose(inst, alloc, j):
     terms gives an independent reconstruction of suffix_reward.
     """
     pairs = checked_pairs(inst, alloc)
-    if not (0 <= j <= inst.num_slots):
-        raise ValueError("suffix index %d outside 0..%d" % (j, inst.num_slots))
+    j = _suffix_index(inst, j)
     q = inst.quit_prob
     s = 1.0 - q
     taus = {slot: r - q * f

@@ -4,9 +4,8 @@ session simulator.
 The simulator draws the quit point directly from the browsing process (one
 quit coin after every viewed element), so its estimates are independent of
 the closed-form objective evaluation and can be used to validate it.
-PRNG contract: NumPy's default_rng (PCG64), seeded explicitly; session
-batches use per-chunk seeds [seed, chunk_index] so the merged mean does not
-depend on how chunks are distributed over workers.
+PRNG contract: NumPy's default_rng (PCG64), seeded explicitly; sessions
+are drawn in chunks of ``SIM_CHUNK``, chunk k from the seed [seed, k].
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ class SimulationResult:
     sessions: int
 
 
-def simulate_sessions(inst, alloc, sessions, seed, chunk=SIM_CHUNK):
+def simulate_sessions(inst, alloc, sessions, seed):
     """Monte-Carlo estimate of the expected session reward.
 
     The number of viewed elements is geometric with success probability q
@@ -154,20 +153,13 @@ def simulate_sessions(inst, alloc, sessions, seed, chunk=SIM_CHUNK):
         # every session views the whole feed and collects every allocated ad
         return SimulationResult(mean=float(cum[-1]), stderr=0.0,
                                 sessions=sessions)
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    chunk_index = 0
-    while done < sessions:
-        size = min(chunk, sessions - done)
+    s1 = s2 = 0.0
+    for chunk_index, done in enumerate(range(0, sessions, SIM_CHUNK)):
         rng = np.random.default_rng([seed, chunk_index])
-        views = rng.geometric(q, size=size)
-        collected = np.searchsorted(positions, views, side="right")
-        x = cum[collected]
+        views = rng.geometric(q, size=min(SIM_CHUNK, sessions - done))
+        x = cum[np.searchsorted(positions, views, side="right")]
         s1 += float(x.sum())
         s2 += float((x * x).sum())
-        done += size
-        chunk_index += 1
     mean = s1 / sessions
     if sessions > 1:
         var = max(s2 - sessions * mean * mean, 0.0) / (sessions - 1)

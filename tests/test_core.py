@@ -121,10 +121,57 @@ def test_construction_refuses_invalid_instance():
     (2, 2, 1.0, ()),
     (-1, 2, 0.1, ()),
     (2, 2, 0.1, ((1.5, 1, 1.0), (2.9, 2, 2.0))),  # int() would truncate
+    (2, 2, 0.1, (("1", 1, 1.0),)),            # int() would parse the text
+    (2, 2, 0.1, ((1, 1, None),)),
+    (2, 2, 0.1, ((1, 1, "x"),)),
+    (2, 2, 0.1, ((1, 1),)),                   # two fields
+    (2, 2, 0.1, ((1, 1, 1.0, 0),)),           # four fields
 ])
 def test_invalid_instance_cannot_be_built(n, m, q, edges):
     with pytest.raises(InvalidInstanceError):
         ProblemInstance(n, m, q, edges)
+
+
+def test_construction_names_each_malformed_field():
+    with pytest.raises(InvalidInstanceError) as err:
+        _inst(2, 2, 0.1, [("1", 1, 1.0), (1, None, 1.0), (1, 1, None),
+                          (2, 2, "1.5"), (1, 2), (1, 2, 1.0, 0), None])
+    message = str(err.value)
+    for problem in ("edge ('1', 1): non-integer index",
+                    "edge (1, None): non-integer index",
+                    "edge (1, 1): reward None invalid",
+                    "edge (2, 2): reward '1.5' invalid",
+                    "edge (1, 2): not an (ad, slot, reward) triple",
+                    "edge (1, 2, 1.0, 0): not an (ad, slot, reward) triple",
+                    "edge None: not an (ad, slot, reward) triple"):
+        assert problem in message
+    for n, m, q in (("2", 2, 0.1), (2, None, 0.1), (2, 2, "0.1"),
+                    (2, 2, None)):
+        with pytest.raises(InvalidInstanceError):
+            _inst(n, m, q, [(1, 1, 1.0)])
+
+
+def test_allocation_refuses_non_integer_entries():
+    for entry in ((1.9, 1), ("2", 1), (1, "1"), (math.nan, 1), (math.inf, 1),
+                  (2, -math.inf), (None, 1), (1, 2, 3), (1,), 7):
+        with pytest.raises(InvalidAllocationError,
+                           match=r"entry .* not a pair of integers"):
+            Allocation(entries=((3, 1), entry))
+    assert Allocation(((2.0, 1),)).entries == ((2, 1),)
+    alloc = Allocation(((np.int64(2), np.int32(1)), (1, np.uint8(2))))
+    assert alloc.entries == ((1, 2), (2, 1))
+    assert all(type(x) is int for entry in alloc.entries for x in entry)
+
+
+def test_suffix_index_must_be_an_integer_in_range():
+    inst = _inst(2, 3, 0.3, [(1, 1, 1.0), (2, 3, 2.0)])
+    alloc = Allocation(entries=((1, 1), (3, 2)))
+    for evaluate in (suffix_reward, decompose):
+        for j in (1.5, "1", None, math.nan, math.inf, -1, 4):
+            with pytest.raises(ValueError, match="suffix index"):
+                evaluate(inst, alloc, j)
+        assert evaluate(inst, alloc, 2.0) == evaluate(inst, alloc, 2)
+        assert evaluate(inst, alloc, np.int64(2)) == evaluate(inst, alloc, 2)
 
 
 def test_validate_allocation_modes():
@@ -231,6 +278,9 @@ def _has_problem(n, m, q, edges):
         return True
     if not 0.0 <= q < 1.0:
         return True
+    if any(len(edge) != 3 or any(type(x) not in (int, float) for x in edge)
+           for edge in edges):
+        return True    # wrong arity, or a field that is not a number
     pairs = [(i, j) for i, j, _r in edges]
     if len(set(pairs)) < len(pairs):
         return True
@@ -239,9 +289,13 @@ def _has_problem(n, m, q, edges):
                for i, j, r in edges)
 
 
+FAULTS = (None, "duplicate", "ad", "slot", "reward", "q", "n", "index", "junk")
+
+
 @st.composite
-def _instance_inputs(draw):
-    """(n, m, q, edges): a valid input, or one with one fault injected."""
+def _instance_inputs(draw, faults=FAULTS):
+    """(n, m, q, edges): a valid input, or one with one of ``faults``
+    injected."""
     n = draw(st.integers(0, 6))
     m = draw(st.integers(0, 6))
     q = draw(st.floats(0.0, 1.0, exclude_max=True))
@@ -250,8 +304,7 @@ def _instance_inputs(draw):
         pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, m)),
                               unique=True, max_size=12))
     edges = [(i, j, draw(st.floats(0.0, 1e6))) for i, j in pairs]
-    fault = draw(st.sampled_from((None, "duplicate", "ad", "slot", "reward",
-                                  "q", "n", "index")))
+    fault = draw(st.sampled_from(faults))
     if fault == "duplicate" and edges:
         i, j, _r = draw(st.sampled_from(edges))
         edges.insert(draw(st.integers(0, len(edges))),
@@ -280,6 +333,15 @@ def _instance_inputs(draw):
         i, j, r = edges[p]
         edges[p] = ((i + shift, j, r) if draw(st.booleans())
                     else (i, j + shift, r))
+    elif fault == "junk":
+        # a field that no int() or float() equals: text, bytes or None
+        edge = [draw(st.integers(1, 6)), draw(st.integers(1, 6)), 1.0]
+        edge[draw(st.integers(0, 2))] = draw(st.sampled_from(
+            ("1", "1.5", "x", "", b"1", None)))
+        edges.insert(draw(st.integers(0, len(edges))), tuple(edge))
+    elif fault == "arity":
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(
+            ((), (1,), (1, 1), (1, 1, 1.0, 0)))))
     return n, m, q, edges
 
 
@@ -298,6 +360,16 @@ def test_construction_refuses_exactly_the_invalid_inputs(args):
         back = read_instance(path)
     assert (back.num_ads, back.num_slots, back.quit_prob) == (n, m, q)
     assert back.edges == inst.edges == tuple(edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_instance_inputs(faults=("arity",)))
+def test_construction_refuses_an_edge_of_another_arity(args):
+    n, m, q, edges = args
+    assert _has_problem(n, m, q, edges)
+    with pytest.raises(InvalidInstanceError,
+                       match=r"not an \(ad, slot, reward\) triple"):
+        ProblemInstance(n, m, q, tuple(edges))
 
 
 def _listed_problems(reward, entries, matching):
