@@ -1,11 +1,13 @@
 """Command-line front end: generate instances, run solvers, verify
 allocations, simulate sessions, and run benchmark suites to CSV.
 
-Exit codes: 0 success; 1 usage error, e.g. a negative ``--n``, ``--n`` for a
-scheme whose generator takes no n, or a generator parameter the generator
-refuses; 2 an invalid instance (read, or generated
-from e.g. q >= 1) or allocation, a malformed input file or suite file, or an
-input or output file that cannot be opened; 3 oracle guard refusal.
+Exit codes: 0 success; 1 usage error, e.g. a negative ``--n``, a
+``--threshold`` that is neither ``auto`` nor a number, ``--n`` for a scheme
+whose generator takes no n, ``--C`` for any scheme but adversarial, or
+another value the generator refuses; 2 an invalid instance (read, or
+generated from e.g. q >= 1) or allocation, a malformed input file or suite
+file, or an input or output file that cannot be opened; 3 oracle guard
+refusal.
 ``bench --time-limit`` never stops a run.
 """
 
@@ -15,6 +17,7 @@ import argparse
 import bisect
 import csv
 import json
+import math
 import statistics
 import sys
 import time
@@ -107,6 +110,16 @@ def _count(text):
     return int(text)
 
 
+def _threshold(text):
+    """argparse type: ``auto`` or a number that is not NaN (argparse itself
+    refuses text that ``float`` cannot read)."""
+    if text == "auto":
+        return text
+    if math.isnan(float(text)):
+        raise argparse.ArgumentTypeError("NaN is not a threshold")
+    return float(text)
+
+
 def _names(known):
     """argparse type: comma-separated names, each one of ``known``."""
     def names(text):
@@ -137,14 +150,16 @@ def build_parser():
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--seed", type=_count, default=1)
     p.add_argument("--C", type=float, default=None,
-                   help="large reward of the adversarial scheme")
+                   help="large reward of the adversarial scheme, which "
+                        "alone takes it (default 2^(2m-1))")
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_gen)
 
     p = sub.add_parser("solve", help="run one solver on an instance file")
     p.add_argument("instance")
     p.add_argument("algorithm", choices=sorted(SOLVERS))
-    p.add_argument("--threshold", default="auto")
+    p.add_argument("--threshold", type=_threshold, default="auto",
+                   help="for online: auto (best slot-1 reward) or a number")
     p.add_argument("--k", type=_count, default=None)
     p.add_argument("--out-allocation", default=None)
     p.add_argument("--json", action="store_true",

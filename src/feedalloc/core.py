@@ -86,7 +86,12 @@ class ProblemInstance:
         if not 0.0 <= _converted(float, self.quit_prob) < 1.0:
             bad("quit_prob out of range [0, 1): %r" % (self.quit_prob,))
         edges, ads_at, rewards_at = [], {}, {}
-        for edge in self.edges:
+        try:
+            raw_edges = iter(self.edges)
+        except TypeError:
+            bad("edges %r: not an iterable of edges" % (self.edges,))
+            raw_edges = ()
+        for edge in raw_edges:
             try:
                 raw_i, raw_j, raw_r = edge
             except (TypeError, ValueError):

@@ -13,25 +13,20 @@ default_rng with an explicit seed.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .core import ProblemInstance
 
-SCHEMES = ("symmetric", "heavy_top", "heavy_bottom", "finely_targeted",
-           "adversarial", "session_youtube", "session_blocks")
-
-
-# the schemes whose generator takes the number of ads n
-SIZED_SCHEMES = ("symmetric", "heavy_top", "heavy_bottom", "finely_targeted")
-
 
 @dataclass
 class GeneratorConfig:
-    """A scheme and its parameters; an n or m left at None takes the
-    scheme's generator default.  The adversarial and session schemes take
-    no n and ignore it."""
+    """A scheme and its parameters.  ``q`` reaches the scheme's generator,
+    and ``n``, ``m`` and ``seed`` do unless None or not taken (the adversarial
+    and session schemes take no n); ``params`` holds its other parameters."""
 
     scheme: str
     n: int | None = None
@@ -41,42 +36,9 @@ class GeneratorConfig:
     params: dict = field(default_factory=dict)
 
 
-def generate(config):
-    """Dispatch a GeneratorConfig to the matching generator."""
-    p = config.params
-    size = {} if config.m is None else {"m": config.m}
-    if config.scheme in SIZED_SCHEMES and config.n is not None:
-        size["n"] = config.n
-    if config.scheme == "symmetric":
-        return gen_symmetric(q=config.q, seed=config.seed,
-                             integer=p.get("integer", False), **size)
-    if config.scheme == "heavy_top":
-        return gen_asymmetric(q=config.q, seed=config.seed, direction="top",
-                              **size)
-    if config.scheme == "heavy_bottom":
-        return gen_asymmetric(q=config.q, seed=config.seed,
-                              direction="bottom", **size)
-    if config.scheme == "finely_targeted":
-        return gen_finely_targeted(q=config.q, seed=config.seed, **size)
-    if config.scheme == "adversarial":
-        if config.m is None:
-            raise ValueError("the adversarial scheme needs m")
-        if "C" not in p and 2 * config.m - 1 > 1023:
-            raise ValueError("the default C = 2^(2m-1) of the adversarial "
-                             "scheme overflows for m > 512; give C")
-        return gen_adversarial(config.m, p.get("C", 2.0 ** (2 * config.m - 1)),
-                               config.q)
-    if config.scheme == "session_youtube":
-        return gen_session_youtube(q=config.q, seed=config.seed, **size, **p)
-    if config.scheme == "session_blocks":
-        return gen_session_blocks(q=config.q, seed=config.seed, **size, **p)
-    raise ValueError("unknown scheme %r (choose from %s)" % (config.scheme,
-                                                             ", ".join(SCHEMES)))
-
-
 def _complete(n, m, q, rewards):
-    edges = tuple((i + 1, j + 1, float(rewards[i, j]))
-                  for i in range(n) for j in range(m))
+    edges = tuple((i, j, r) for i, row in enumerate(rewards.tolist(), 1)
+                  for j, r in enumerate(row, 1))
     return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q, edges=edges)
 
 
@@ -112,9 +74,15 @@ def gen_finely_targeted(n=100, m=1000, q=0.1, seed=1):
     return _complete(n, m, q, rewards)
 
 
-def gen_adversarial(m, C, q=0.5):
+def gen_adversarial(m=None, C=None, q=0.5):
     """Chain instance defeating myopic strategies: ad j targets only slot j
-    with reward 1, except the final ad, whose reward is the large C."""
+    with reward 1 except the last, whose C defaults to 2^(2m-1) (m <= 512)."""
+    if m is None:
+        raise ValueError("the adversarial scheme needs m")
+    if C is None and m > 512:
+        raise ValueError("the default C = 2^(2m-1) of the adversarial "
+                         "scheme overflows for m > 512; give C")
+    C = 2.0 ** (2 * m - 1) if C is None else C
     if m < 2 or C <= 0:
         raise ValueError("need m >= 2 and C > 0")
     edges = tuple((j, j, 1.0 if j < m else float(C)) for j in range(1, m + 1))
@@ -195,10 +163,41 @@ def gen_session_blocks(m=1440, q=0.1, seed=1, blocks=144, categories=100,
         raise ValueError("reward_table must have shape (categories, m)")
     edges = []
     for h in range(blocks):
-        slots = rng.choice(m, size=slots_per_block, replace=False) + 1
-        for c in range(categories):
-            ad = h * categories + c + 1
-            for j in sorted(int(x) for x in slots):
-                edges.append((ad, j, float(reward_table[c, j - 1])))
-    return ProblemInstance(num_ads=blocks * categories, num_slots=m,
-                           quit_prob=q, edges=tuple(edges))
+        slots = np.sort(rng.choice(m, size=slots_per_block, replace=False))
+        js = (slots + 1).tolist()
+        for ad, rewards in enumerate(reward_table[:, slots].tolist(),
+                                     h * categories + 1):
+            edges.extend((ad, j, r) for j, r in zip(js, rewards))
+    return ProblemInstance(blocks * categories, m, q, tuple(edges))
+
+
+# scheme name -> generator; the heavy schemes bind ``direction``
+SCHEMES = {"symmetric": gen_symmetric,
+           "heavy_top": partial(gen_asymmetric, direction="top"),
+           "heavy_bottom": partial(gen_asymmetric, direction="bottom"),
+           "finely_targeted": gen_finely_targeted,
+           "adversarial": gen_adversarial,
+           "session_youtube": gen_session_youtube,
+           "session_blocks": gen_session_blocks}
+
+# the schemes whose generator takes the number of ads n
+SIZED_SCHEMES = tuple(name for name, gen in SCHEMES.items()
+                      if "n" in inspect.signature(gen).parameters)
+
+
+def generate(config):
+    """One call of the config's scheme generator.  An unknown scheme, or a
+    ``params`` key that is not one of its other parameters, is a ValueError."""
+    if config.scheme not in SCHEMES:
+        raise ValueError("unknown scheme %r (choose from %s)"
+                         % (config.scheme, ", ".join(SCHEMES)))
+    gen = SCHEMES[config.scheme]
+    takes = inspect.signature(gen).parameters
+    fixed = ("n", "m", "q", "seed", *getattr(gen, "keywords", ()))
+    for key in config.params:
+        if key not in takes or key in fixed:
+            raise ValueError("scheme %s takes no parameter %r"
+                             % (config.scheme, key))
+    kwargs = {key: getattr(config, key) for key in ("n", "m", "seed")
+              if key in takes and getattr(config, key) is not None}
+    return gen(q=config.q, **kwargs, **config.params)

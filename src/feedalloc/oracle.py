@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Mode, checked_pairs, suffix_value
+from .core import Allocation, Mode, _converted, checked_pairs, suffix_value
 
 
 class OracleGuardError(ValueError):
@@ -141,9 +141,12 @@ def simulate_sessions(inst, alloc, sessions, seed):
     (the quit coin is flipped after each view, so a reached element is always
     seen); an ad at slot j with b earlier ads occupies feed position
     j + b + 1 and is collected iff that many elements are viewed.
+    ``sessions`` must equal its ``int()``, as a ``core`` index must.
     """
-    if sessions < 1:
-        raise ValueError("sessions must be >= 1")
+    count = _converted(int, sessions)  # NaN unless an integer
+    if not count >= 1:
+        raise ValueError("sessions must be an integer >= 1: %r" % (sessions,))
+    sessions = count
     pairs = checked_pairs(inst, alloc)
     q = inst.quit_prob
     positions = np.array([j + b + 1 for b, (j, _r) in enumerate(pairs)],

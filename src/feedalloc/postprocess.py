@@ -33,13 +33,14 @@ def prune_to_k(inst, alloc, k):
     ads = alloc.ads()
     while len(pairs) > k:
         f = entry_suffixes(pairs, q)
-        best_idx, best_loss = None, None
-        # descending slot order so ties keep the first (highest) slot seen
+        best_idx, best_e, best_tau = None, 0, 0.0
+        # descending slot order so ties keep the first (highest) slot seen;
+        # (1-q)^e * tau is compared relative to the best e: (1-q)^e underflows
         for idx in range(len(pairs) - 1, -1, -1):
             slot, r = pairs[idx]
-            loss = s ** (slot + idx) * (r - q * f[idx])
-            if best_loss is None or loss < best_loss:
-                best_idx, best_loss = idx, loss
+            e, tau = slot + idx, r - q * f[idx]
+            if best_idx is None or tau < s ** (best_e - e) * best_tau:
+                best_idx, best_e, best_tau = idx, e, tau
         del pairs[best_idx], ads[best_idx]
     return Allocation(entries=tuple((j, i) for (j, _r), i in zip(pairs, ads)),
                       mode=alloc.mode)

@@ -57,6 +57,8 @@ def test_gen_defaults_to_the_scheme_generator_size(tmp_path, capsys):
     ["gen", "--scheme", "adversarial"],            # no m, no default
     ["gen", "--scheme", "adversarial", "--m", "600"],  # 2^(2m-1) overflows
     ["bench", "--schemes", "symmetric,session_blocks", "--n", "5"],
+    ["gen", "--scheme", "symmetric", "--m", "10", "--C", "5"],
+    ["gen", "--scheme", "session_youtube", "--m", "20", "--C", "5"],
 ])
 def test_size_a_scheme_does_not_take_exits_1(tmp_path, capsys, argv):
     out = tmp_path / "out.txt"
@@ -371,9 +373,13 @@ def test_malformed_suite_file_exits_2(tmp_path, capsys, text, line):
     ["gen", "--scheme", "symmetric", "--n", "-1"],
     ["gen", "--scheme", "symmetric", "--m", "x"],
     ["gen", "--scheme", "adversarial", "--m", "1"],
+    ["solve", "INSTANCE", "online", "--threshold", "abc"],
+    ["solve", "INSTANCE", "online", "--threshold", "nan"],
 ])
 def test_malformed_flag_exits_1(tmp_path, argv):
-    out = tmp_path / "out.txt"
+    _inst, path = _write_inst(tmp_path)
+    argv = [path if arg == "INSTANCE" else arg for arg in argv]
+    out = tmp_path / "out.txt"  # --out abbreviates solve's --out-allocation
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
     assert not out.exists()
 

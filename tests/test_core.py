@@ -126,6 +126,7 @@ def test_construction_refuses_invalid_instance():
     (2, 2, 0.1, ((1, 1, "x"),)),
     (2, 2, 0.1, ((1, 1),)),                   # two fields
     (2, 2, 0.1, ((1, 1, 1.0, 0),)),           # four fields
+    (2, 2, 0.1, None),                        # no edge iterable at all
 ])
 def test_invalid_instance_cannot_be_built(n, m, q, edges):
     with pytest.raises(InvalidInstanceError):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from feedalloc.generators import (GeneratorConfig, gen_adversarial,
-                                  gen_asymmetric, gen_finely_targeted,
-                                  gen_session_blocks, gen_session_youtube,
-                                  gen_symmetric, generate)
+from feedalloc.generators import (SCHEMES, SIZED_SCHEMES, GeneratorConfig,
+                                  gen_adversarial, gen_asymmetric,
+                                  gen_finely_targeted, gen_session_blocks,
+                                  gen_session_youtube, gen_symmetric, generate)
 
 
 def test_all_generated_instances_validate():
@@ -89,3 +89,42 @@ def test_session_blocks_reward_range():
 def test_unknown_scheme_raises():
     with pytest.raises(ValueError):
         generate(GeneratorConfig(scheme="nope"))
+
+
+def test_every_scheme_refuses_a_parameter_its_generator_does_not_take():
+    for scheme in SCHEMES:
+        for key in ("foo", "q", "n", "m", "seed", "intger"):
+            config = GeneratorConfig(scheme=scheme, m=20, params={key: 1})
+            with pytest.raises(ValueError, match="'%s'" % key):
+                generate(config)
+    for scheme in ("heavy_top", "heavy_bottom"):  # bound by the scheme table
+        with pytest.raises(ValueError, match="'direction'"):
+            generate(GeneratorConfig(scheme=scheme, m=20,
+                                     params={"direction": "top"}))
+
+
+def test_each_parameter_reaches_its_generator():
+    config = GeneratorConfig("symmetric", n=3, m=4, seed=5,
+                             params={"integer": True})
+    assert generate(config).edges \
+        == gen_symmetric(3, 4, q=0.1, seed=5, integer=True).edges
+    assert generate(GeneratorConfig("adversarial", m=4, q=0.3,
+                                    params={"C": 9.0})).edges \
+        == gen_adversarial(4, 9.0, q=0.3).edges
+    assert generate(GeneratorConfig("adversarial", m=4)).edges \
+        == gen_adversarial(4, 2.0 ** 7, q=0.1).edges
+    # an explicit C needs no default, which would overflow at m = 600
+    assert generate(GeneratorConfig("adversarial", m=600,
+                                    params={"C": 7.0})).edges[-1] \
+        == (600, 600, 7.0)
+    config = GeneratorConfig("session_blocks", m=30, seed=2,
+                             params={"blocks": 3, "categories": 4,
+                                     "slots_per_block": 2})
+    assert generate(config).edges == gen_session_blocks(
+        m=30, seed=2, blocks=3, categories=4, slots_per_block=2).edges
+    assert SIZED_SCHEMES == ("symmetric", "heavy_top", "heavy_bottom",
+                             "finely_targeted")
+    for config in (GeneratorConfig("adversarial"),
+                   GeneratorConfig("adversarial", m=600)):
+        with pytest.raises(ValueError, match="adversarial"):
+            generate(config)

@@ -1,5 +1,6 @@
 """Brute-force solvers, guards, and the Monte-Carlo session simulator."""
 
+import math
 import random
 
 import numpy as np
@@ -127,3 +128,16 @@ def test_simulation_rejects_invalid_input():
     bad = Allocation(entries=((1, 2),))  # no such edge
     with pytest.raises(ValueError):
         simulate_sessions(inst, bad, 10, seed=1)
+
+
+def test_simulation_session_count_is_an_integer_by_the_index_rule():
+    inst = _inst(2, 3, 0.2, [(1, 1, 1.0), (2, 3, 2.0)])
+    alloc = Allocation(entries=((1, 1), (3, 2)))
+    for bad in (1.5, "10", None, math.nan, math.inf, 0, -3.0):
+        with pytest.raises(ValueError, match="sessions must be an integer"):
+            simulate_sessions(inst, alloc, bad, seed=1)
+    a = simulate_sessions(inst, alloc, 1e3, seed=2)
+    b = simulate_sessions(inst, alloc, 1000, seed=2)
+    assert (a.mean, a.stderr, a.sessions) == (b.mean, b.stderr, 1000)
+    assert type(a.sessions) is int
+    assert simulate_sessions(inst, alloc, np.int64(10), seed=2).sessions == 10

@@ -1,5 +1,8 @@
 """k-limit pruning and greedy truncation."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from conftest import make_rng, random_matching, sparse_instance
@@ -26,6 +29,50 @@ def naive_prune_step(inst, alloc):
                                               and entry[0] > best[1]):
             best = (loss, entry[0], trial)
     return Allocation(best[2], alloc.mode)
+
+
+def exact_prune_slots(pairs, q, k):
+    """The greedy removal sequence in exact arithmetic: while more than k
+    slot-sorted (slot, reward) pairs remain, remove the one whose removal
+    loses the least f(M), the highest slot on ties.  Returns the kept
+    slots.  Every value is divided by (1-q)^base, a positive factor common
+    to all of them, which keeps the exact powers small."""
+    s, base = 1 - Fraction(q), pairs[0][0] - 1
+
+    def value(kept):
+        return sum(Fraction(r) * s ** (j - base + b)
+                   for b, (j, r) in enumerate(kept))
+
+    pairs = list(pairs)
+    while len(pairs) > k:
+        current = value(pairs)
+        _loss, _slot, p = min((current - value(pairs[:p] + pairs[p + 1:]),
+                               -pairs[p][0], p) for p in range(len(pairs)))
+        del pairs[p]
+    return [j for j, _r in pairs]
+
+
+@pytest.mark.parametrize("offset", [0, 8000])
+def test_prune_agrees_with_exact_greedy_where_discounts_underflow(offset):
+    # past slot ~7000, (1-q)^(slot + rank) is 0.0 in doubles at q = 0.1, so
+    # a loss computed as that power times (r - q f) loses its sign
+    pairs = [(offset + j, r) for j, r in enumerate((0.01, 10, 10, 10, 1), 1)]
+    inst = _inst(5, offset + 5, 0.1, [(j - offset, j, r) for j, r in pairs])
+    alloc = Allocation(entries=tuple((j, j - offset) for j, _r in pairs))
+    kept = [j for j, _i in prune_to_k(inst, alloc, 3).entries]
+    assert kept == exact_prune_slots(pairs, 0.1, 3) \
+        == [offset + 2, offset + 3, offset + 4]
+    rng = random.Random(offset)
+    for _ in range(12):
+        slots = sorted(rng.sample(range(offset + 1, offset + 60), 6))
+        pairs = [(j, rng.uniform(0.01, 10.0)) for j in slots]
+        inst = _inst(6, offset + 60, 0.1,
+                     [(i, j, r) for i, (j, r) in enumerate(pairs, 1)])
+        alloc = Allocation(entries=tuple((j, i)
+                                         for i, j in enumerate(slots, 1)))
+        k = rng.randrange(6)
+        assert [j for j, _i in prune_to_k(inst, alloc, k).entries] \
+            == exact_prune_slots(pairs, 0.1, k)
 
 
 def test_prune_matches_naive_step_oracle():
