@@ -27,8 +27,9 @@ import math
 import time
 from dataclasses import dataclass
 
-from .core import (Allocation, Mode, SolveReport, SuffixTree, discount_powers,
-                   expected_reward)
+from .core import Mode, SuffixTree, discount_powers, solve_report
+# unused, but perfbench/spans.py traces each solver module's expected_reward
+from .core import expected_reward  # noqa: F401
 
 
 @dataclass
@@ -141,13 +142,10 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
             log.append(IterationLog(j, len(cand_ads),
                                     best_i if committed else None, best_g,
                                     committed, committed and best_reassign))
-    alloc = Allocation(entries=tuple(ad_at.items()), mode=mode)
-    reward = expected_reward(inst, alloc)
-    name = "gb" if matching else "gb-mapping"
-    return SolveReport(algorithm=name, allocation=alloc, expected_reward=reward,
-                       wall_time=time.perf_counter() - t0,
-                       counters={"gain_evals": evals, "commits": commits,
-                                 "reassignments": reassigns})
+    return solve_report("gb" if matching else "gb-mapping", inst,
+                        ad_at.items(), t0,
+                        {"gain_evals": evals, "commits": commits,
+                         "reassignments": reassigns}, mode)
 
 
 def nonoblivious_backwards_greedy(inst, log=None):
@@ -240,12 +238,9 @@ def nonoblivious_backwards_greedy(inst, log=None):
             log.append(IterationLog(j, len(cand_ads),
                                     best_i if committed else None, g_lb,
                                     committed, reassigned))
-    alloc = Allocation(entries=tuple(zip(slots, ads)), mode=Mode.MATCHING)
-    reward = expected_reward(inst, alloc)
-    return SolveReport(algorithm="gbp", allocation=alloc, expected_reward=reward,
-                       wall_time=time.perf_counter() - t0,
-                       counters={"scores": scored, "commits": commits,
-                                 "reassignments": reassigns})
+    return solve_report("gbp", inst, zip(slots, ads), t0,
+                        {"scores": scored, "commits": commits,
+                         "reassignments": reassigns})
 
 
 def _above(slots, rewards, fs, k):

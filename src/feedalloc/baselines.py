@@ -2,8 +2,8 @@
 max-weight matching, and the cardinality-constrained flow baseline plus its
 greedy-augmented variant.
 
-All reported rewards are recomputed through core.expected_reward; no
-baseline-internal objective value is ever trusted.
+Every report is built by core.solve_report, which recomputes the reward;
+no baseline-internal objective value is ever trusted.
 """
 
 from __future__ import annotations
@@ -16,16 +16,9 @@ import numpy as np
 
 from . import matching
 from .algorithms import backwards_greedy
-from .core import (Allocation, Mode, SolveReport, SuffixTree, discount_powers,
-                   expected_reward)
-
-
-def _report(name, inst, entries, t0, counters=None, mode=Mode.MATCHING):
-    alloc = Allocation(entries=tuple(entries), mode=mode)
-    return SolveReport(algorithm=name, allocation=alloc,
-                       expected_reward=expected_reward(inst, alloc),
-                       wall_time=time.perf_counter() - t0,
-                       counters=counters or {})
+from .core import Mode, SuffixTree, discount_powers, solve_report
+# unused, but perfbench/spans.py traces each solver module's expected_reward
+from .core import expected_reward  # noqa: F401
 
 
 def global_greedy(inst, max_assignments=None):
@@ -101,7 +94,7 @@ def global_greedy(inst, max_assignments=None):
         entries.append((j, i))
         used_ads.add(i)
         tree.insert(j, r)
-    return _report("global", inst, entries, t0,
+    return solve_report("global", inst, entries, t0,
                    {"pops": pops, "gain_evals": reevals,
                     "commits": len(entries)})
 
@@ -131,7 +124,8 @@ def forward_greedy(inst, max_assignments=None):
     with the largest (positive) reward, with no look-ahead."""
     t0 = time.perf_counter()
     entries = _scan_slots(inst, 0.0, max_assignments)
-    return _report("forward", inst, entries, t0, {"commits": len(entries)})
+    return solve_report("forward", inst, entries, t0,
+                        {"commits": len(entries)})
 
 
 def auto_threshold(inst):
@@ -146,7 +140,7 @@ def online_threshold(inst, threshold="auto", max_assignments=None):
     t0 = time.perf_counter()
     thr = auto_threshold(inst) if threshold == "auto" else float(threshold)
     entries = _scan_slots(inst, thr, max_assignments)
-    return _report("online", inst, entries, t0,
+    return solve_report("online", inst, entries, t0,
                    {"commits": len(entries), "threshold": thr})
 
 
@@ -166,7 +160,7 @@ def mwm_baseline(inst):
     t0 = time.perf_counter()
     pairs, _w = matching.max_weight_matching(_static_weights(inst))
     entries = [(j, i) for i, j in pairs]
-    return _report("mwm", inst, entries, t0, {"matched": len(entries)})
+    return solve_report("mwm", inst, entries, t0, {"matched": len(entries)})
 
 
 def flow_cardinality(q, n, m):
@@ -184,10 +178,10 @@ def flow_baseline(inst, max_assignments=None):
     if max_assignments is not None:
         k = min(k, max_assignments)
     if k <= 0:
-        return _report("flow", inst, [], t0, {"cardinality_cap": k})
+        return solve_report("flow", inst, [], t0, {"cardinality_cap": k})
     pairs, _w = matching.constrained_max_weight_matching(_static_weights(inst), k)
     entries = [(j, i) for i, j in pairs]
-    return _report("flow", inst, entries, t0,
+    return solve_report("flow", inst, entries, t0,
                    {"cardinality_cap": k, "matched": len(entries)})
 
 
@@ -204,4 +198,4 @@ def flow_greedy(inst):
                              initial=base.allocation.entries)
     counters = dict(base.counters)
     counters["greedy_added"] = len(sweep.allocation) - len(base.allocation)
-    return _report("flowg", inst, sweep.allocation.entries, t0, counters)
+    return solve_report("flowg", inst, sweep.allocation.entries, t0, counters)

@@ -2,9 +2,10 @@
 allocations, simulate sessions, and run benchmark suites to CSV.
 
 Exit codes: 0 success; 1 usage error, e.g. a negative ``--n``, a
-``--threshold`` that is neither ``auto`` nor a number, ``--n`` for a scheme
-whose generator takes no n, ``--C`` for any scheme but adversarial, or
-another value the generator refuses; 2 an invalid instance (read, or
+``--threshold`` that is neither ``auto`` nor a number or is given to a
+solver other than online, ``--n`` for a scheme whose generator takes no n,
+``--C`` for any scheme but adversarial, or another value the generator
+refuses; 2 an invalid instance (read, or
 generated from e.g. q >= 1) or allocation, a malformed input file or suite
 file, or an input or output file that cannot be opened; 3 oracle guard
 refusal.
@@ -16,15 +17,18 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
+import dataclasses
+import inspect
 import json
 import math
 import statistics
 import sys
 import time
+from functools import partial
 
 from . import baselines, core, generators, oracle, postprocess
 from .algorithms import backwards_greedy, nonoblivious_backwards_greedy
-from .core import Mode, SolveReport
+from .core import Mode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,47 +53,49 @@ def _num(x):
 
 
 def _bruteforce(name, fn):
-    def run(inst, _k, _threshold):
+    def run(inst):
         t0 = time.perf_counter()
         alloc, _value = fn(inst)
-        return SolveReport(algorithm=name, allocation=alloc,
-                           expected_reward=core.expected_reward(inst, alloc),
-                           wall_time=time.perf_counter() - t0)
+        return core.solve_report(name, inst, alloc.entries, t0,
+                                 mode=alloc.mode)
     return run
 
 
-# name -> (run(inst, k, threshold), takes_k).  A solver that takes k stops at
-# k entries itself (``max_assignments``); any other is pruned to k after it.
+# name -> solver(inst, ...) -> SolveReport
 SOLVERS = {
-    "gb": (lambda inst, k, t: backwards_greedy(inst, Mode.MATCHING), False),
-    "gb-mapping": (lambda inst, k, t: backwards_greedy(inst, Mode.MAPPING),
-                   False),
-    "gbp": (lambda inst, k, t: nonoblivious_backwards_greedy(inst), False),
-    "global": (lambda inst, k, t: baselines.global_greedy(inst, k), True),
-    "forward": (lambda inst, k, t: baselines.forward_greedy(inst, k), True),
-    "online": (lambda inst, k, t: baselines.online_threshold(inst, t, k), True),
-    "mwm": (lambda inst, k, t: baselines.mwm_baseline(inst), False),
-    "flow": (lambda inst, k, t: baselines.flow_baseline(inst, k), True),
-    "flowg": (lambda inst, k, t: baselines.flow_greedy(inst), False),
-    "bruteforce": (_bruteforce("bruteforce", oracle.brute_force_matching),
-                   False),
-    "bruteforce-mapping": (_bruteforce("bruteforce-mapping",
-                                       oracle.brute_force_mapping), False),
+    "gb": partial(backwards_greedy, mode=Mode.MATCHING),
+    "gb-mapping": partial(backwards_greedy, mode=Mode.MAPPING),
+    "gbp": nonoblivious_backwards_greedy,
+    "global": baselines.global_greedy,
+    "forward": baselines.forward_greedy,
+    "online": baselines.online_threshold,
+    "mwm": baselines.mwm_baseline,
+    "flow": baselines.flow_baseline,
+    "flowg": baselines.flow_greedy,
+    "bruteforce": _bruteforce("bruteforce", oracle.brute_force_matching),
+    "bruteforce-mapping": _bruteforce("bruteforce-mapping",
+                                      oracle.brute_force_mapping),
 }
 
 
-def run_solver(inst, algorithm, k=None, threshold="auto"):
-    """Run one registered solver under an optional k-limit, which it takes
-    natively or by ``prune_to_k`` after the run.  The report keeps the
-    solver's wall time and counters; its reward is the pruned allocation's."""
-    run, takes_k = SOLVERS[algorithm]
-    if k is None or takes_k:
-        return run(inst, k, threshold)
-    report = run(inst, None, threshold)
+def run_solver(inst, algorithm, k=None, threshold=None):
+    """Run one registered solver under an optional k-limit.  A solver whose
+    signature takes ``max_assignments`` stops at k itself; any other is
+    pruned to k by ``prune_to_k`` after the run, and its report keeps the
+    solver's wall time and counters with the pruned allocation's reward.
+    A ``threshold`` for a solver that takes none is a UsageError."""
+    solver = SOLVERS[algorithm]
+    takes = inspect.signature(solver).parameters
+    if threshold is not None and "threshold" not in takes:
+        raise UsageError("--threshold does not apply to solver %s" % algorithm)
+    kwargs = {"threshold": threshold, "max_assignments": k}
+    report = solver(inst, **{key: value for key, value in kwargs.items()
+                             if key in takes and value is not None})
+    if k is None or "max_assignments" in takes:
+        return report
     alloc = postprocess.prune_to_k(inst, report.allocation, k)
-    return SolveReport(algorithm=report.algorithm, allocation=alloc,
-                       expected_reward=core.expected_reward(inst, alloc),
-                       wall_time=report.wall_time, counters=report.counters)
+    return dataclasses.replace(report, allocation=alloc,
+                               expected_reward=core.expected_reward(inst, alloc))
 
 
 DEFAULT_SCHEMES = ["symmetric", "finely_targeted", "heavy_top", "heavy_bottom"]
@@ -158,8 +164,8 @@ def build_parser():
     p = sub.add_parser("solve", help="run one solver on an instance file")
     p.add_argument("instance")
     p.add_argument("algorithm", choices=sorted(SOLVERS))
-    p.add_argument("--threshold", type=_threshold, default="auto",
-                   help="for online: auto (best slot-1 reward) or a number")
+    p.add_argument("--threshold", type=_threshold, default=None,
+                   help="online only: auto (best slot-1 reward) or a number")
     p.add_argument("--k", type=_count, default=None)
     p.add_argument("--out-allocation", default=None)
     p.add_argument("--json", action="store_true",
@@ -238,12 +244,8 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     inst = core.read_instance(args.instance)
-    try:
-        report = run_solver(inst, args.algorithm, k=args.k,
-                            threshold=args.threshold)
-    except oracle.OracleGuardError as exc:
-        print("refused: %s" % exc, file=sys.stderr)
-        return EXIT_GUARD
+    report = run_solver(inst, args.algorithm, k=args.k,
+                        threshold=args.threshold)
     if args.json:
         print(json.dumps({"algorithm": report.algorithm,
                           "reward": report.expected_reward,
@@ -399,6 +401,9 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except oracle.OracleGuardError as exc:
+        print("refused: %s" % exc, file=sys.stderr)
+        return EXIT_GUARD
     except (OSError, core.FormatError, core.InvalidInstanceError,
             core.InvalidAllocationError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -35,6 +35,7 @@ compute f and its suffix values f_j(M), one job each:
 from __future__ import annotations
 
 import math
+import time
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -202,9 +203,9 @@ class DecompositionTerm:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solver run; reward is always recomputed by direct
-    objective evaluation of the allocation, never read from solver
-    internals."""
+    """Outcome of one solver run, built by ``solve_report``: the reward is
+    always recomputed by direct objective evaluation of the allocation,
+    never read from solver internals."""
 
     algorithm: str
     allocation: Allocation
@@ -335,6 +336,14 @@ class SuffixTree:
 def expected_reward(inst, alloc):
     """f(M), the expected session reward of a valid allocation."""
     return suffix_value(checked_pairs(inst, alloc), inst.quit_prob, base=0)
+
+
+def solve_report(name, inst, entries, t0, counters=None, mode=Mode.MATCHING):
+    """A solver run's report: the allocation of ``entries``, scored by
+    ``expected_reward``, and the wall time since ``t0``, read after scoring."""
+    alloc = Allocation(entries=tuple(entries), mode=mode)
+    return SolveReport(name, alloc, expected_reward(inst, alloc),
+                       time.perf_counter() - t0, counters or {})
 
 
 def suffix_reward(inst, alloc, j):

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ProblemInstance
+from .core import ProblemInstance, _converted
 
 
 @dataclass
@@ -93,22 +93,24 @@ def _browse_permutation(categories, p_same, rng):
     """Session order over items: start anywhere; with probability p_same the
     next item is an unseen one of the current category, otherwise an unseen
     item of a different category, falling back to any unseen item."""
+    categories = np.asarray(categories)
     m = len(categories)
-    unseen = set(range(m))
-    order = []
+    unseen = np.ones(m, dtype=bool)
     cur = int(rng.integers(m))
-    order.append(cur)
-    unseen.remove(cur)
-    while unseen:
-        same = [v for v in unseen if categories[v] == categories[cur]]
-        other = [v for v in unseen if categories[v] != categories[cur]]
+    order = [cur]
+    unseen[cur] = False
+    for _ in range(m - 1):
+        same_mask = categories == categories[cur]
+        # each pool ascends, so the draws pick the same items as a set would
+        same = np.flatnonzero(unseen & same_mask)
+        other = np.flatnonzero(unseen & ~same_mask)
         if rng.random() < p_same:
-            pool = same or other
+            pool = same if len(same) else other
         else:
-            pool = other or same
-        cur = pool[int(rng.integers(len(pool)))]
+            pool = other if len(other) else same
+        cur = int(pool[rng.integers(len(pool))])
         order.append(cur)
-        unseen.remove(cur)
+        unseen[cur] = False
     return order
 
 
@@ -133,7 +135,7 @@ def gen_session_youtube(m=200, q=0.1, seed=1, num_categories=8, advertisers=15,
     if item_categories is None:
         item_categories = rng.integers(0, num_categories, size=m)
     item_categories = np.asarray(item_categories)
-    order = _browse_permutation(list(item_categories), p_same, rng)
+    order = _browse_permutation(item_categories, p_same, rng)
     slot_cat = item_categories[order]          # category of the item before slot j
     n = advertisers * num_categories
     ad_cat = np.repeat(np.arange(num_categories), advertisers)
@@ -186,8 +188,10 @@ SIZED_SCHEMES = tuple(name for name, gen in SCHEMES.items()
 
 
 def generate(config):
-    """One call of the config's scheme generator.  An unknown scheme, or a
-    ``params`` key that is not one of its other parameters, is a ValueError."""
+    """One call of the config's scheme generator.  An unknown scheme, an
+    ``n``, ``m`` or ``seed`` that is not a non-negative integer (equal to
+    its ``int()``), or a ``params`` key that is not one of the generator's
+    other parameters, is a ValueError."""
     if config.scheme not in SCHEMES:
         raise ValueError("unknown scheme %r (choose from %s)"
                          % (config.scheme, ", ".join(SCHEMES)))
@@ -198,6 +202,14 @@ def generate(config):
         if key not in takes or key in fixed:
             raise ValueError("scheme %s takes no parameter %r"
                              % (config.scheme, key))
-    kwargs = {key: getattr(config, key) for key in ("n", "m", "seed")
-              if key in takes and getattr(config, key) is not None}
+    kwargs = {}
+    for key in ("n", "m", "seed"):
+        value = getattr(config, key)
+        if value is None:
+            continue
+        if not _converted(int, value) >= 0:    # NaN unless an integer
+            raise ValueError("%s must be a non-negative integer, not %r"
+                             % (key, value))
+        if key in takes:
+            kwargs[key] = int(value)
     return gen(q=config.q, **kwargs, **config.params)

@@ -120,6 +120,26 @@ def test_solve_with_k_prunes(tmp_path, capsys):
     assert "size=1" in capsys.readouterr().out
 
 
+def test_run_solver_passes_k_to_the_solvers_whose_signature_takes_it(
+        tmp_path, monkeypatch):
+    inst, _path = _write_inst(tmp_path)
+    prune, pruned = cli.postprocess.prune_to_k, []
+    monkeypatch.setattr(cli.postprocess, "prune_to_k",
+                        lambda *args: pruned.append(args) or prune(*args))
+    native = set()
+    for name, solver in cli.SOLVERS.items():
+        pruned.clear()
+        report = cli.run_solver(inst, name, k=1)
+        if pruned:
+            expected = prune(inst, solver(inst).allocation, 1)
+        else:
+            native.add(name)
+            expected = solver(inst, max_assignments=1).allocation
+        assert report.allocation.entries == expected.entries, name
+        assert report.expected_reward == core.expected_reward(inst, expected)
+    assert native == {"global", "forward", "online", "flow"}
+
+
 def test_solve_and_bench_apply_k_alike(tmp_path, capsys):
     # solve and bench share one policy for passing k natively or pruning
     inst_path = tmp_path / "inst.txt"
@@ -375,6 +395,7 @@ def test_malformed_suite_file_exits_2(tmp_path, capsys, text, line):
     ["gen", "--scheme", "adversarial", "--m", "1"],
     ["solve", "INSTANCE", "online", "--threshold", "abc"],
     ["solve", "INSTANCE", "online", "--threshold", "nan"],
+    ["solve", "INSTANCE", "gb", "--threshold", "5"],  # online alone takes it
 ])
 def test_malformed_flag_exits_1(tmp_path, argv):
     _inst, path = _write_inst(tmp_path)
