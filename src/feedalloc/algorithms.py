@@ -5,16 +5,18 @@ slot j can never hurt the still-unprocessed slots before it.
 
 ``backwards_greedy`` scores each candidate by its exact marginal gain on the
 suffix objective and is optimal in mapping mode (ads reusable); in matching
-mode it is a 2-approximation.  The gain has a closed form in f_j(M), the
-moved ad's old slot and the suffix value after it, all read from a segment
-tree over the slots (``core.SuffixTree``), so the cost is O(|E| log m).
+mode it is a 2-approximation.  ``nonoblivious_backwards_greedy`` (matching
+only) replaces the exact gain with a cheap lower bound built from per-ad
+estimates tau_i, giving the same 2-approximation.
 
-``nonoblivious_backwards_greedy`` (matching only) replaces the exact gain
-with a cheap lower bound built from per-ad estimates tau_i, giving the same
-2-approximation with O(1) work per candidate.  It caches each entry's
-suffix value and, after a re-assignment, re-runs ``core.entry_suffixes``'s
-recursion below the moved entry only, so it costs O(|E| + m + R * |M|) for
-R re-assignments.
+Both keep the entries slot-descending, each with its suffix value f from
+``core.entry_suffixes``'s recursion, and every entry lies after the slot
+being processed: ``backwards_greedy`` reads f_j(M) off the lowest entry,
+``nonoblivious_backwards_greedy`` rolls it from slot to slot.  A
+re-assignment re-runs the recursion below the moved entry only.  The exact
+gain has a closed form in f_j(M), the moved ad's list position and its
+entry's f, so both do O(1) work per candidate and cost O(|E| + m + R * |M|)
+for R re-assignments.
 
 Both read the instance's per-slot rows (``ProblemInstance.row``).  Given a
 ``log`` list, each appends one ``IterationLog`` of scalars per processed
@@ -27,7 +29,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .core import Mode, SuffixTree, discount_powers, solve_report
+from .core import Mode, discount_powers, solve_report
 # unused, but perfbench/spans.py traces each solver module's expected_reward
 from .core import expected_reward  # noqa: F401
 
@@ -66,8 +68,14 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
 
     with p_i the number of entries in slots (j, sigma(i)); loss_i is 0 for
     an unplaced ad and in mapping mode.  The best candidate is committed iff
-    g > 0.  f_j, f_{sigma(i)} and p_i are read from a ``SuffixTree`` over
-    the slots, so the cost is O(|E| log m).
+    g > 0.
+
+    The entries are kept slot-descending, each with its f from the
+    ``entry_suffixes`` recursion, and every entry lies after the slot being
+    processed.  So f_j is read off the lowest entry, and an ad at position
+    k of the list has p_i + 1 = |M| - k.  A move re-runs the recursion, and
+    the ads' positions, below the removed entry only.  A candidate costs
+    O(1), and the whole sweep O(|E| + m + R * |M|) for R re-assignments.
 
     Ties break to the lowest ad index among gains equal in floating point;
     unplaced ads with equal rewards always tie exactly.  Gains that differ
@@ -81,69 +89,84 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
     touched.  This lets the sweep run on top of another algorithm's partial
     solution (the flow baseline uses this): re-assigning a locked ad would
     vacate a slot that is never revisited, so the gain rule would overstate
-    its value.
+    its value.  A seeded entry joins the list when the sweep reaches its
+    slot; below slot j it does not affect f_j.
     """
     t0 = time.perf_counter()
     q = inst.quit_prob
+    s = 1.0 - q
     m = inst.num_slots
     matching = mode is Mode.MATCHING
-    tree = SuffixTree(m, q)
-    powers = tree.powers
-    rewards = {}          # slot -> reward of its entry
-    ad_at = {}            # slot -> ad of its entry
-    matched_slot = {}     # ad -> slot, matching mode only
-    for j, i in initial or ():
-        r = inst.reward(i, j)
-        rewards[j], ad_at[j] = r, i
-        tree.insert(j, r)
-        matched_slot[i] = j
-    locked = set(matched_slot)
-    frozen = set(ad_at)
+    # exponents sigma(i) - j + p_i + 1 stay below 2m
+    powers = discount_powers(q, 2 * m)
+    slots, ads, rewards, fs = [], [], [], []   # slot-descending entries
+    where = [None] * (inst.num_ads + 1)   # ad -> list position, matching mode
+    # slot -> (locked ad, reward); a pair that is no edge raises here
+    seeded = {j: (i, inst.reward(i, j)) for j, i in initial or ()}
+    locked = {i for i, _r in seeded.values()}
+    for i in locked:
+        where[i] = -1     # not free: the candidate scan checks ``locked``
     evals = commits = reassigns = 0
     for j in range(m, 0, -1):
-        if j in frozen:
+        if j in seeded:
+            i, r = seeded[j]
+            fs.append(_head(slots, rewards, fs, j, s, powers))
+            slots.append(j)
+            ads.append(i)
+            rewards.append(r)
             continue
         cand_ads, cand_rewards = inst.row(j)
         if not cand_ads:
             if log is not None:
                 log.append(IterationLog(j, 0, None, float("nan"), False, False))
             continue
-        above, fj = tree.suffix(j)
-        best_i = best_r = None
-        best_g = 0.0
-        best_reassign = False
+        qfj = q * _head(slots, rewards, fs, j, s, powers)
+        shift = len(slots) - j    # sigma - k + shift = sigma - j + p_i + 1
+        best_i = best_r = best_k = None
+        best_g = -math.inf
+        evals += len(cand_ads)
         for i, r in zip(cand_ads, cand_rewards):
-            if i in locked:
+            k = where[i]
+            if k is None:
+                g = r - qfj
+            elif i in locked:
+                evals -= 1
                 continue
-            g = r - q * fj
-            reassign = matching and i in matched_slot
-            if reassign:
-                sigma = matched_slot[i]
-                after, f_sigma = tree.suffix(sigma)
-                # (1-q)^(sigma - j + p_i + 1), p_i = above - after - 1
-                g -= powers[sigma - j + above - after] \
-                    * (rewards[sigma] - q * f_sigma)
-            evals += 1
-            if best_i is None or g > best_g:
-                best_i, best_g, best_r, best_reassign = i, g, r, reassign
+            else:
+                g = r - qfj - powers[slots[k] - k + shift] \
+                    * (rewards[k] - q * fs[k])
+            if g > best_g:
+                best_i, best_g, best_r, best_k = i, g, r, k
+        if best_i is None:    # every candidate locked
+            best_g = 0.0
         committed = best_g > 0.0
         if committed:
             commits += 1
-            if best_reassign:
+            if best_k is not None:
                 reassigns += 1
-                old = matched_slot[best_i]
-                del rewards[old], ad_at[old]
-                tree.remove(old)
-            rewards[j], ad_at[j] = best_r, best_i
-            tree.insert(j, best_r)
+                k = best_k
+                del slots[k], ads[k], rewards[k], fs[k]
+                # the entries below k change their f and their position
+                slot, r, f = _above(slots, rewards, fs, k)
+                for p in range(k, len(slots)):
+                    below = slots[p]
+                    f = powers[slot - below] * (r + s * f)
+                    fs[p] = f
+                    where[ads[p]] = p
+                    slot, r = below, rewards[p]
+            fs.append(_head(slots, rewards, fs, j, s, powers))
             if matching:
-                matched_slot[best_i] = j
+                where[best_i] = len(slots)
+            slots.append(j)
+            ads.append(best_i)
+            rewards.append(best_r)
         if log is not None:
             log.append(IterationLog(j, len(cand_ads),
                                     best_i if committed else None, best_g,
-                                    committed, committed and best_reassign))
+                                    committed,
+                                    committed and best_k is not None))
     return solve_report("gb" if matching else "gb-mapping", inst,
-                        ad_at.items(), t0,
+                        zip(slots, ads), t0,
                         {"gain_evals": evals, "commits": commits,
                          "reassignments": reassigns}, mode)
 

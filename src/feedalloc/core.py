@@ -23,13 +23,13 @@ compute f and its suffix values f_j(M), one job each:
 - ``suffix_value``: the direct fold.  It is the reference behind
   ``expected_reward``, ``suffix_reward`` and the brute-force oracles.
 - ``SuffixTree``: insert, remove and query in O(log m) at any slot, for
-  ``global_greedy``, which commits slots in no fixed order, and for
-  ``backwards_greedy``, which queries it once per moved candidate.
+  ``global_greedy``, which commits slots in no fixed order.
 - ``entry_suffixes``: f_j(M) at every occupied slot in one backward pass,
   for ``prune_to_k``, ``suffix_vector``, ``decompose`` and
-  ``feedalloc verify``.  ``nonoblivious_backwards_greedy`` commits slots in
-  decreasing order, so it caches these values per entry and re-runs the
-  recursion below a re-assigned entry only.
+  ``feedalloc verify``.  ``backwards_greedy`` and
+  ``nonoblivious_backwards_greedy`` commit slots in decreasing order, so
+  they cache these values per entry, re-run the recursion below a
+  re-assigned entry only, and do O(1) work per candidate.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ class ProblemInstance:
     Ads are indexed 1..num_ads, slots 1..num_slots.  ``edges`` holds
     (ad, slot, reward) triples; the slot set of ad i is the set of slots
     it has an edge to.  Construction raises ``InvalidInstanceError`` on any
-    problem, so no invalid instance exists.
+    problem, so no invalid instance exists.  The sizes are kept as the
+    ``int`` and q as the ``float`` they were checked as.
     """
 
     num_ads: int
@@ -80,11 +81,12 @@ class ProblemInstance:
 
     def __post_init__(self):
         n, m = _converted(int, self.num_ads), _converted(int, self.num_slots)
+        q = _converted(float, self.quit_prob)
         problems = ["%s must be a non-negative integer" % name
                     for name, count in (("num_ads", n), ("num_slots", m))
                     if not count >= 0]    # NaN unless an integer
         bad, inf = problems.append, math.inf
-        if not 0.0 <= _converted(float, self.quit_prob) < 1.0:
+        if not 0.0 <= q < 1.0:
             bad("quit_prob out of range [0, 1): %r" % (self.quit_prob,))
         edges, ads_at, rewards_at = [], {}, {}
         try:
@@ -132,6 +134,7 @@ class ProblemInstance:
         if problems:
             raise InvalidInstanceError("invalid instance: "
                                        + "; ".join(problems))
+        self.num_ads, self.num_slots, self.quit_prob = n, m, q
         self.edges = tuple(edges)
         self._ads, self._rewards = ads_at, rewards_at
 

@@ -445,6 +445,29 @@ def test_sweeps_equal_previous_sweeps_where_discounts_underflow():
         _assert_same_as_previous_sweeps(inst, mode)
 
 
+def test_seeded_sweep_equals_previous_sweep_where_discounts_underflow():
+    # (1-q)^j keeps the flow's pairs at the lowest slots, so they join the
+    # entry list late; the gaps between them, dense below slot 300, hold
+    # moves of ads from above a locked entry
+    rng = make_rng(37)
+    inst = _inst(20, 8000, 0.1, [(i, j, rng.uniform(0.1, 10.0))
+                                 for i in range(1, 21) for j in range(1, 8001)
+                                 if rng.random() < (0.3 if j <= 300 else 0.002)])
+    assert (1.0 - inst.quit_prob) ** inst.num_slots == 0.0
+    flow = flow_baseline(inst).allocation.entries
+    for mode in (Mode.MATCHING, Mode.MAPPING):
+        _assert_same_as_previous_sweeps(inst, mode, initial=flow)
+    _report, logs = instrumented_run(backwards_greedy, inst, initial=flow)
+    slot_of, crossing = {}, 0
+    for rec in logs:
+        if rec.reassigned:
+            crossing += any(rec.slot < j < slot_of[rec.chosen]
+                            for j, _i in flow)
+        if rec.committed:
+            slot_of[rec.chosen] = rec.slot
+    assert crossing
+
+
 def test_sweeps_equal_previous_sweeps_on_session_instances():
     for seed in (1, 2):
         for inst in (gen_session_blocks(m=60, seed=seed, blocks=6,

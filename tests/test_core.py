@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (allocation_file_bytes, make_rng, random_matching,
                       sparse_instance)
+from feedalloc.cli import SOLVERS
 from feedalloc.core import (Allocation, FormatError, InvalidAllocationError,
                             InvalidInstanceError, Mode, ProblemInstance,
                             SuffixTree, decompose, entry_suffixes,
@@ -150,6 +151,23 @@ def test_construction_names_each_malformed_field():
                     (2, 2, None)):
         with pytest.raises(InvalidInstanceError):
             _inst(n, m, q, [(1, 1, 1.0)])
+
+
+def test_sizes_and_q_are_kept_as_checked():
+    # a size equal to its int() is stored as that int, and q as a float,
+    # so every solver runs on float-sized input as on the int-sized one
+    inst = ProblemInstance(2, 3.0, 0, ((1, 1, 2.0), (2, 3, 1.0)))
+    assert (inst.num_ads, inst.num_slots, inst.quit_prob) == (2, 3, 0.0)
+    assert [type(x) for x in (inst.num_ads, inst.num_slots, inst.quit_prob)] \
+        == [int, int, float]
+    rng = make_rng(61)
+    for _ in range(30):
+        ref = sparse_instance(rng)
+        sized = ProblemInstance(float(ref.num_ads), float(ref.num_slots),
+                                ref.quit_prob, ref.edges)
+        for name in ("gb", "gb-mapping", "gbp", "global", "flowg"):
+            assert SOLVERS[name](sized).allocation \
+                == SOLVERS[name](ref).allocation, name
 
 
 def test_allocation_refuses_non_integer_entries():
