@@ -182,7 +182,11 @@ def nonoblivious_backwards_greedy(inst, log=None):
     is selected (tau_i = 0, sigma(i) = j for unmatched ads) and committed iff
     the gain lower bound  g_LB = r_ij - q f_j(M) - tau_i (1-q)^(sigma(i)-j)
     is positive.  f_j(M) is rolled across slots in O(1) per slot, and a
-    fresh entry takes its tau from the rolled value.
+    fresh entry takes its tau from the rolled value.  A candidate with
+    tau_i >= 0 scores at most r_ij, also in floating point, so one whose
+    r_ij does not exceed the best score so far is passed over unscored;
+    the choice is that of scoring every candidate, and the ``scores``
+    counter counts every candidate.
 
     A re-assignment sets every tau to r - q * f from the ``entry_suffixes``
     recursion.  The entries are kept slot-descending, each with its
@@ -220,7 +224,12 @@ def nonoblivious_backwards_greedy(inst, log=None):
         best_score = -math.inf
         for i, r in zip(cand_ads, cand_rewards):
             t = tau[i]
-            score = r if t is None else r - t * powers[sigma[i] - j]
+            if t is None:
+                score = r
+            elif r <= best_score and t >= 0.0:
+                continue      # score <= r: it cannot beat the best
+            else:
+                score = r - t * powers[sigma[i] - j]
             if score > best_score:
                 best_i, best_score, best_r = i, score, r
         scored += len(cand_ads)
@@ -235,16 +244,17 @@ def nonoblivious_backwards_greedy(inst, log=None):
                 k = slots.index(sigma[best_i])
                 lo = min(k, len(slots) - rolled)
                 del slots[k], ads[k], rewards[k], fs[k]
-                for i, r, f in zip(ads[lo:k], rewards[lo:k], fs[lo:k]):
-                    tau[i] = r - q * f
+                for p in range(lo, k):
+                    tau[ads[p]] = rewards[p] - q * fs[p]
                 # the entries below k change their f
                 slot, r, f = _above(slots, rewards, fs, k)
-                for p, i, below, r_below in zip(range(k, len(slots)), ads[k:],
-                                                slots[k:], rewards[k:]):
+                for p in range(k, len(slots)):
+                    below = slots[p]
                     f = powers[slot - below] * (r + s * f)
                     fs[p] = f
-                    tau[i] = r_below - q * f
-                    slot, r = below, r_below
+                    r = rewards[p]
+                    tau[ads[p]] = r - q * f
+                    slot = below
                 rolled = 0
                 cur = _head(slots, rewards, fs, j, s, powers)
                 f = cur

@@ -437,6 +437,24 @@ def test_gbp_gains_equal_previous_sweep_bit_for_bit(make):
         assert [log.gain for log in logs if log.candidates] == gains
 
 
+def test_gbp_scores_an_ad_whose_tau_rounds_below_zero():
+    # ad 2's slot-4 reward exceeds q * f_4 by one ulp of the rolled f_4, so
+    # it commits, but falls short of q * f_4 from the entry_suffixes
+    # recursion, which the re-assignment at slot 2 gives it: its tau is
+    # below zero.  At slot 1 its score exceeds its reward, which only ties
+    # ad 1's, so the scan must score it to pick it
+    inst = _inst(5, 6, 0.2, [(4, 6, 3.8), (5, 5, 7.817),
+                             (2, 4, 1.6398400000000002), (3, 3, 2.514),
+                             (3, 2, 2.734), (1, 1, 1.1091184640000005),
+                             (2, 1, 1.1091184640000005)])
+    report, logs = instrumented_run(nonoblivious_backwards_greedy, inst)
+    alloc, counters, gains = dict_nonoblivious_backwards_greedy(inst)
+    assert report.allocation.entries == alloc.entries
+    assert report.counters == counters
+    assert [log.gain for log in logs if log.candidates] == gains
+    assert dict(report.allocation.entries)[1] == 2
+
+
 def test_sweeps_equal_previous_sweeps_where_discounts_underflow():
     rng = make_rng(32)
     inst = _float_instance(rng, 5, 8000, 0.1, 0.002)
