@@ -11,12 +11,13 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import bisect_right
 
 import numpy as np
 
 from . import matching
 from .algorithms import backwards_greedy
-from .core import Mode, SuffixTree, discount_powers, solve_report
+from .core import Mode, discount_powers, solve_report
 # unused, but perfbench/spans.py traces each solver module's expected_reward
 from .core import expected_reward  # noqa: F401
 
@@ -28,9 +29,18 @@ def global_greedy(inst, max_assignments=None):
         g = (1-q)^(j + B(j)) * (r_ij - q * f_j(M)),
 
     the new edge's own discounted reward minus the attention it takes from
-    the entries after it, with B(j) = |M| - #entries after j.  f_j(M) and
-    that count are read from a ``SuffixTree``, so a re-evaluation and a
-    commit each take O(log m).
+    the entries after it, with B(j) the number of entries before j.
+
+    The entries are kept in a slot-ascending list, each with its f from
+    the ``entry_suffixes`` recursion, and closed by a zero reward at slot
+    m + 1.  A re-evaluation at slot j bisects the list for the first entry
+    after j: its position is B(j), and f_j is read off it.  A commit
+    inserts its entry with f = f_j and makes the entries below it stale; a
+    re-evaluation below the stale boundary re-runs the recursion down to
+    the entry it reads.  A stale f is recomputed at most once per commit
+    that made it stale, so the cost is O(|E| log |E| + pops * log |M| +
+    commits * |M|) in the worst case, which needs commits that land above
+    many entries in no slot order, as at q near 0.
 
     At one slot every free ad shares the discount and f_j, so the gain is
     monotone in r_ij and only the slot's best free ad (largest r, then
@@ -41,8 +51,7 @@ def global_greedy(inst, max_assignments=None):
     larger reward, so a cached gain stays an upper bound for its slot.  A
     popped slot whose best ad is used elsewhere moves on to its next free
     ad under the same bound; a slot with no free ad left, or a committed
-    one, leaves the heap.  Sorting costs O(|E| log |E|) and the heap holds
-    at most m entries.
+    one, leaves the heap.  The heap holds at most m entries.
 
     Ties break to the smallest j, then to the largest r and the smallest i.
     That is the lexicographically smallest (j, i) among the largest gains,
@@ -51,9 +60,10 @@ def global_greedy(inst, max_assignments=None):
     """
     t0 = time.perf_counter()
     q = inst.quit_prob
+    s = 1.0 - q
     limit = math.inf if max_assignments is None else max_assignments
-    tree = SuffixTree(inst.num_slots, q)
-    powers = tree.powers
+    # exponents j + B(j) stay below 2m
+    powers = discount_powers(q, 2 * inst.num_slots)
     # each slot's row positions by reward, the best (largest r, then
     # smallest i) last: the row's ads ascend and the stable sort takes the
     # positions in descending order, so equal rewards keep i descending
@@ -68,6 +78,9 @@ def global_greedy(inst, max_assignments=None):
             # initial gain on the empty allocation: r * (1-q)^j
             heap.append((-(rewards[order[-1]] * powers[j]), j))
     heapq.heapify(heap)
+    # slot-ascending entries, closed by a zero reward at slot m + 1
+    slots, entry_rewards, fs = [inst.num_slots + 1], [0.0], [0.0]
+    fresh = 0             # fs[p] is f_{slots[p]}(M) for p >= fresh
     entries = []
     used_ads = set()
     pops = reevals = 0
@@ -80,23 +93,32 @@ def global_greedy(inst, max_assignments=None):
         if not order:
             continue
         r, i = rewards[order[-1]], ads[order[-1]]
-        after, fj = tree.suffix(j)
-        g = powers[j + len(entries) - after] * (r - q * fj)
+        p = bisect_right(slots, j)    # the first entry after j
+        if p < fresh:
+            for k in range(fresh - 1, p - 1, -1):
+                fs[k] = powers[slots[k + 1] - slots[k]] \
+                    * (entry_rewards[k + 1] + s * fs[k + 1])
+            fresh = p
+        fj = powers[slots[p] - j] * (entry_rewards[p] + s * fs[p])
+        g = powers[j + p] * (r - q * fj)
         reevals += 1
-        fresh = (-g, j)
-        if heap and heap[0] < fresh:
+        key = (-g, j)
+        if heap and heap[0] < key:
             # another slot may beat this one, or tie it with a smaller j;
             # re-cache and retry
-            heapq.heappush(heap, fresh)
+            heapq.heappush(heap, key)
             continue
         if g <= 0.0:
             break
         entries.append((j, i))
         used_ads.add(i)
-        tree.insert(j, r)
+        slots.insert(p, j)
+        entry_rewards.insert(p, r)
+        fs.insert(p, fj)
+        fresh = p         # the entries below j are stale
     return solve_report("global", inst, entries, t0,
-                   {"pops": pops, "gain_evals": reevals,
-                    "commits": len(entries)})
+                        {"pops": pops, "gain_evals": reevals,
+                         "commits": len(entries)})
 
 
 def _scan_slots(inst, threshold, max_assignments):

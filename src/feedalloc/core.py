@@ -17,19 +17,17 @@ the ads in increasing index and their rewards in a parallel array of
 doubles (``row``).  The slot-scanning solvers read the rows; ``reward``
 bisects one.  Every index, of an edge, an allocation entry or a suffix,
 must equal its ``int()``; none is truncated.  ``checked_pairs`` is the one
-place an allocation is checked and its rewards read.  Three evaluators
+place an allocation is checked and its rewards read.  Two evaluators
 compute f and its suffix values f_j(M), one job each:
 
 - ``suffix_value``: the direct fold.  It is the reference behind
   ``expected_reward``, ``suffix_reward`` and the brute-force oracles.
-- ``SuffixTree``: insert, remove and query in O(log m) at any slot, for
-  ``global_greedy``, which commits slots in no fixed order.
 - ``entry_suffixes``: f_j(M) at every occupied slot in one backward pass,
   for ``prune_to_k``, ``suffix_vector``, ``decompose`` and
-  ``feedalloc verify``.  ``backwards_greedy`` and
-  ``nonoblivious_backwards_greedy`` commit slots in decreasing order, so
-  they cache these values per entry, re-run the recursion below a
-  re-assigned entry only, and do O(1) work per candidate.
+  ``feedalloc verify``.  The greedy solvers cache these values per entry
+  and re-run the recursion only below an entry that changed: the
+  backward sweeps at once, in O(1) per candidate, and ``global_greedy``,
+  which commits slots in no fixed order, when it next reads below one.
 """
 
 from __future__ import annotations
@@ -267,73 +265,6 @@ def suffix_value(pairs, q, base=0):
 def discount_powers(q, count):
     """[(1-q)^k for k = 0..count - 1], as direct evaluation computes them."""
     return [(1.0 - q) ** k for k in range(count)]
-
-
-class SuffixTree:
-    """The occupied slots of an allocation, kept for suffix queries.
-
-    A segment tree over slots 0..num_slots.  Each node covering slots
-    [lo, lo + width) holds (count, sum of r * (1-q)^(slot - lo + rank)),
-    where rank counts the node's occupied slots before ``slot``; a parent
-    combines its children as  left + (1-q)^(width/2 + left.count) * right.
-    Sums are relative to each node's first slot, so no node value underflows
-    where the direct evaluation of the same suffix does not.  Insert, remove
-    and ``suffix`` take O(log m).
-    """
-
-    def __init__(self, num_slots, q):
-        size = 1 << (num_slots + 1).bit_length()  # a power of 2 > m + 1
-        self._size = size
-        self._count = [0] * (2 * size)
-        self._value = [0.0] * (2 * size)
-        self.powers = discount_powers(q, 2 * size + 1)
-
-    def insert(self, slot, reward):
-        """Occupy ``slot`` (which must be free) with ``reward``."""
-        self._set(slot, 1, reward)
-
-    def remove(self, slot):
-        """Free the occupied ``slot``."""
-        self._set(slot, 0, 0.0)
-
-    def _set(self, slot, count, value):
-        counts, values, powers = self._count, self._value, self.powers
-        v = self._size + slot
-        counts[v] = count
-        values[v] = value
-        half = 1
-        v >>= 1
-        while v:
-            left = 2 * v
-            c = counts[left]
-            counts[v] = c + counts[left + 1]
-            values[v] = values[left] + powers[half + c] * values[left + 1]
-            half <<= 1
-            v >>= 1
-
-    def suffix(self, base):
-        """(count, f_base): the number of occupied slots after ``base`` and
-        the suffix objective over them, sum of r * (1-q)^(slot - base + rank)
-        with rank counted among those slots (``suffix_value``'s fold)."""
-        counts, values, powers = self._count, self._value, self.powers
-        lo = base + 1          # first slot of node v
-        v = self._size + lo
-        end = 2 * self._size
-        width = 1
-        total = 0.0
-        count = 0
-        while v < end:
-            if v & 1:
-                c = counts[v]
-                if c:
-                    total += powers[lo - base + count] * values[v]
-                    count += c
-                v += 1
-                lo += width
-            v >>= 1
-            end >>= 1
-            width <<= 1
-        return count, total
 
 
 def expected_reward(inst, alloc):

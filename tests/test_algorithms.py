@@ -9,11 +9,11 @@ from conftest import make_rng, replay_suffixes, replay_trace, sparse_instance
 from feedalloc.algorithms import (backwards_greedy, instrumented_run,
                                   nonoblivious_backwards_greedy)
 from feedalloc.baselines import flow_baseline
-from feedalloc.core import (Allocation, Mode, ProblemInstance, SuffixTree,
-                            entry_suffixes, expected_reward, suffix_reward,
-                            suffix_value)
+from feedalloc.core import (Allocation, Mode, ProblemInstance, entry_suffixes,
+                            expected_reward, suffix_reward, suffix_value)
 from feedalloc.generators import gen_session_blocks, gen_session_youtube
 from feedalloc.oracle import brute_force_mapping, brute_force_matching
+from suffix_tree import SuffixTree
 
 
 def _inst(n, m, q, edges):

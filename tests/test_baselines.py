@@ -10,11 +10,11 @@ from conftest import make_rng, sparse_instance
 from feedalloc.baselines import (auto_threshold, flow_baseline,
                                  flow_cardinality, flow_greedy, forward_greedy,
                                  global_greedy, mwm_baseline, online_threshold)
-from feedalloc.core import (Allocation, Mode, ProblemInstance, SuffixTree,
-                            expected_reward)
+from feedalloc.core import Allocation, Mode, ProblemInstance, expected_reward
 from feedalloc.generators import (gen_finely_targeted, gen_session_blocks,
                                   gen_symmetric)
 from feedalloc.oracle import brute_force_matching
+from suffix_tree import SuffixTree
 
 
 def _inst(n, m, q, edges):
@@ -124,12 +124,28 @@ def test_lazy_global_greedy_matches_naive():
             assert lazy.allocation.entries == naive.entries
 
 
+def _float_instance(seed, n, m, q, density):
+    """Unrounded uniform rewards, so exact gain ties have probability 0."""
+    rng = make_rng(seed)
+    return _inst(n, m, q, [(i, j, rng.uniform(0.1, 10.0))
+                           for i in range(1, n + 1) for j in range(1, m + 1)
+                           if rng.random() < density])
+
+
 @pytest.mark.parametrize("build", [
     lambda seed: gen_session_blocks(m=200, seed=seed, blocks=3,
                                     categories=10, slots_per_block=20),
     lambda seed: gen_symmetric(30, 200, seed=seed, integer=True),
     lambda seed: gen_finely_targeted(30, 200, seed=seed),
-], ids=["session_blocks", "symmetric_integer", "finely_targeted"])
+    # 0.9 ** 8000 == 0.0 in float64; every f is relative to its own slot
+    lambda seed: _float_instance(seed, 20, 8000, 0.1, 0.01),
+    # at q near 0 the gain barely depends on the slot, so commits come in
+    # no slot order: most land above entries committed earlier and make
+    # them stale, and a re-evaluation below refreshes many of them at once
+    lambda seed: _float_instance(seed, 400, 400, 0.0, 0.02),
+    lambda seed: _float_instance(seed, 400, 400, 0.001, 0.02),
+], ids=["session_blocks", "symmetric_integer", "finely_targeted",
+        "discounts_underflow", "q0", "q0.001"])
 def test_slot_heap_matches_edge_heap_oracle(build):
     for seed in range(1, 6):
         inst = build(seed)

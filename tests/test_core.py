@@ -15,11 +15,11 @@ from conftest import (allocation_file_bytes, make_rng, random_matching,
 from feedalloc.cli import SOLVERS
 from feedalloc.core import (Allocation, FormatError, InvalidAllocationError,
                             InvalidInstanceError, Mode, ProblemInstance,
-                            SuffixTree, decompose, entry_suffixes,
-                            expected_reward, read_allocation, read_instance,
-                            suffix_reward, suffix_value, suffix_vector,
-                            validate_allocation, write_allocation,
-                            write_instance)
+                            decompose, entry_suffixes, expected_reward,
+                            read_allocation, read_instance, suffix_reward,
+                            suffix_value, suffix_vector, validate_allocation,
+                            write_allocation, write_instance)
+from suffix_tree import SuffixTree
 
 
 def _inst(n, m, q, edges):
