@@ -12,6 +12,7 @@ import heapq
 import math
 import time
 from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -168,12 +169,15 @@ def online_threshold(inst, threshold="auto", max_assignments=None):
 
 def _static_weights(inst):
     """Position-biased static weights w_ij = r_ij * (1-q)^j, as an
-    (|E|, 3) array of (ad, slot, weight) rows, built without a tuple per
-    edge."""
+    (|E|, 3) array of (ad, slot, weight) rows in increasing (ad, slot)
+    order, built from the rows without a tuple per edge."""
+    slots = [j for j in range(1, inst.num_slots + 1) if inst.row(j)[0]]
+    ads, rewards = zip(*map(inst.row, slots)) if slots else ((), ())
+    ad = np.fromiter(chain.from_iterable(ads), np.float64)
+    slot = np.repeat(np.array(slots, dtype=np.intp), [len(a) for a in ads])
     powers = np.array(discount_powers(inst.quit_prob, inst.num_slots + 1))
-    edges = np.array(inst.edges, dtype=np.float64).reshape(-1, 3)
-    edges[:, 2] *= powers[edges[:, 1].astype(np.intp)]
-    return edges
+    weight = np.frombuffer(b"".join(rewards)) * powers[slot]
+    return np.column_stack((ad, slot, weight))[np.lexsort((slot, ad))]
 
 
 def mwm_baseline(inst):

@@ -12,13 +12,15 @@ The expected reward of an allocation M is
 where B(j) is the number of occupied slots strictly before j: the user must
 survive j item-views plus B(j) ad-views to reach the ad at slot j.
 
-``ProblemInstance`` checks each edge as it files it into its slot's row:
-the ads in increasing index and their rewards in a parallel array of
-doubles (``row``).  The slot-scanning solvers read the rows; ``reward``
-bisects one.  Every index, of an edge, an allocation entry or a suffix,
-must equal its ``int()``; none is truncated.  ``checked_pairs`` is the one
-place an allocation is checked and its rewards read.  Two evaluators
-compute f and its suffix values f_j(M), one job each:
+``ProblemInstance`` consumes its edges, any iterable, once: it files each
+checked edge into its slot's row, the ads in increasing index and their
+rewards in a parallel array of doubles (``row``), and keeps only the rows.
+``edges`` rebuilds the triples from them in (ad, slot) order on each
+access, O(|E| log |E|), for I/O and oracles only.  Every index, of an
+edge, an allocation entry or a suffix, must equal its ``int()``; none is
+truncated.  ``checked_pairs`` is the one place an allocation is checked
+and its rewards read.  Two evaluators compute f and its suffix values
+f_j(M), one job each:
 
 - ``suffix_value``: the direct fold.  It is the reference behind
   ``expected_reward``, ``suffix_reward`` and the brute-force oracles.
@@ -61,36 +63,30 @@ def _converted(kind, x):
     return y if y == x else math.nan
 
 
-@dataclass
 class ProblemInstance:
     """Immutable problem input. Do not mutate after construction.
 
-    Ads are indexed 1..num_ads, slots 1..num_slots.  ``edges`` holds
-    (ad, slot, reward) triples; the slot set of ad i is the set of slots
-    it has an edge to.  Construction raises ``InvalidInstanceError`` on any
-    problem, so no invalid instance exists.  The sizes are kept as the
-    ``int`` and q as the ``float`` they were checked as.
+    Ads are indexed 1..num_ads, slots 1..num_slots.  Construction checks
+    every (ad, slot, reward) triple of ``edges`` and raises
+    ``InvalidInstanceError`` on any problem, so no invalid instance exists.
+    The sizes are kept as the ``int`` and q as the ``float`` they were
+    checked as.
     """
 
-    num_ads: int
-    num_slots: int
-    quit_prob: float
-    edges: tuple = ()
-
-    def __post_init__(self):
-        n, m = _converted(int, self.num_ads), _converted(int, self.num_slots)
-        q = _converted(float, self.quit_prob)
+    def __init__(self, num_ads, num_slots, quit_prob, edges=()):
+        n, m = _converted(int, num_ads), _converted(int, num_slots)
+        q = _converted(float, quit_prob)
         problems = ["%s must be a non-negative integer" % name
                     for name, count in (("num_ads", n), ("num_slots", m))
                     if not count >= 0]    # NaN unless an integer
         bad, inf = problems.append, math.inf
         if not 0.0 <= q < 1.0:
-            bad("quit_prob out of range [0, 1): %r" % (self.quit_prob,))
-        edges, ads_at, rewards_at = [], {}, {}
+            bad("quit_prob out of range [0, 1): %r" % (quit_prob,))
+        ads_at, rewards_at = {}, {}
         try:
-            raw_edges = iter(self.edges)
+            raw_edges = iter(edges)
         except TypeError:
-            bad("edges %r: not an iterable of edges" % (self.edges,))
+            bad("edges %r: not an iterable of edges" % (edges,))
             raw_edges = ()
         for edge in raw_edges:
             try:
@@ -112,7 +108,6 @@ class ProblemInstance:
                 bad("edge (%d, %d): slot index out of range" % (i, j))
             if not (0.0 <= r < inf and r == raw_r):
                 bad("edge (%d, %d): reward %r invalid" % (i, j, raw_r))
-            edges.append((i, j, r))
             try:
                 ads_at[j].append(i)
                 rewards_at[j].append(r)
@@ -133,7 +128,6 @@ class ProblemInstance:
             raise InvalidInstanceError("invalid instance: "
                                        + "; ".join(problems))
         self.num_ads, self.num_slots, self.quit_prob = n, m, q
-        self.edges = tuple(edges)
         self._ads, self._rewards = ads_at, rewards_at
 
     def reward(self, ad, slot):
@@ -144,15 +138,16 @@ class ProblemInstance:
             raise KeyError((ad, slot))
         return self._rewards[slot][k]
 
-    def candidates(self, slot):
-        """Ads with an edge to ``slot``, in increasing ad index."""
-        return self._ads.get(slot, [])
-
     def row(self, slot):
-        """(ads, rewards) of ``slot``: ``candidates(slot)`` and, in the same
-        order, the reward of each of those edges as an ``array('d')``.
-        Read-only."""
+        """(ads, rewards) of ``slot``: its ads in increasing index and their
+        rewards as an ``array('d')``; ``((), ())`` if none.  Read-only."""
         return self._ads.get(slot, ()), self._rewards.get(slot, ())
+
+    @property
+    def edges(self):
+        """The edges in (ad, slot) order, rebuilt from the rows each time."""
+        return tuple(sorted((i, j, r) for j, ads in self._ads.items()
+                            for i, r in zip(ads, self._rewards[j])))
 
 
 class InvalidAllocationError(ValueError):
@@ -394,7 +389,7 @@ def read_instance(path):
     n, m, q = records[0]
     try:
         return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q,
-                               edges=tuple(records[1:]))
+                               edges=records[1:])
     except InvalidInstanceError as exc:
         raise InvalidInstanceError("%s: %s" % (path, exc)) from None
 

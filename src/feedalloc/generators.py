@@ -37,8 +37,8 @@ class GeneratorConfig:
 
 
 def _complete(n, m, q, rewards):
-    edges = tuple((i, j, r) for i, row in enumerate(rewards.tolist(), 1)
-                  for j, r in enumerate(row, 1))
+    edges = ((i, j, r) for i, row in enumerate(rewards.tolist(), 1)
+             for j, r in enumerate(row, 1))
     return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q, edges=edges)
 
 
@@ -170,7 +170,7 @@ def gen_session_blocks(m=1440, q=0.1, seed=1, blocks=144, categories=100,
         for ad, rewards in enumerate(reward_table[:, slots].tolist(),
                                      h * categories + 1):
             edges.extend((ad, j, r) for j, r in zip(js, rewards))
-    return ProblemInstance(blocks * categories, m, q, tuple(edges))
+    return ProblemInstance(blocks * categories, m, q, edges)
 
 
 # scheme name -> generator; the heavy schemes bind ``direction``

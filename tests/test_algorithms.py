@@ -60,7 +60,7 @@ def naive_backwards_greedy(inst, mode=Mode.MATCHING, initial=None):
     frozen = {j for j, _i, _r in entries}
     evals = commits = reassigns = 0
     for j in range(inst.num_slots, 0, -1):
-        cands = inst.candidates(j)
+        cands = inst.row(j)[0]
         if j in frozen or not cands:
             continue
         fj = suffix_value([(slot, r) for slot, _, r in entries], q, base=j)
@@ -115,7 +115,7 @@ def tree_backwards_greedy(inst, mode=Mode.MATCHING, initial=None):
     for j in range(m, 0, -1):
         if j in frozen:
             continue
-        cands = inst.candidates(j)
+        cands = inst.row(j)[0]
         if not cands:
             continue
         above, fj = tree.suffix(j)
@@ -176,7 +176,7 @@ def dict_nonoblivious_backwards_greedy(inst):
                 cur = s * (cur + (r_next - q * cur))
             else:
                 cur = s * cur
-        cands = inst.candidates(j)
+        cands = inst.row(j)[0]
         if not cands:
             continue
         best_i = None

@@ -4,15 +4,19 @@ import bisect
 import heapq
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_rng, sparse_instance
-from feedalloc.baselines import (auto_threshold, flow_baseline,
-                                 flow_cardinality, flow_greedy, forward_greedy,
-                                 global_greedy, mwm_baseline, online_threshold)
-from feedalloc.core import Allocation, Mode, ProblemInstance, expected_reward
-from feedalloc.generators import (gen_finely_targeted, gen_session_blocks,
-                                  gen_symmetric)
+from feedalloc.baselines import (_static_weights, auto_threshold,
+                                 flow_baseline, flow_cardinality, flow_greedy,
+                                 forward_greedy, global_greedy, mwm_baseline,
+                                 online_threshold)
+from feedalloc.core import (Allocation, Mode, ProblemInstance,
+                            discount_powers, expected_reward)
+from feedalloc.generators import (GeneratorConfig, gen_adversarial,
+                                  gen_finely_targeted, gen_session_blocks,
+                                  gen_session_youtube, gen_symmetric, generate)
 from feedalloc.oracle import brute_force_matching
 from suffix_tree import SuffixTree
 
@@ -237,6 +241,48 @@ def test_mwm_is_optimal_at_q_zero():
         _alloc, opt = brute_force_matching(inst)
         assert mwm_baseline(inst).expected_reward == pytest.approx(
             opt, rel=1e-9, abs=1e-12)
+
+
+def edge_tuple_static_weights(inst):
+    """Reference implementation: the static weights r_ij * (1-q)^j as an
+    (|E|, 3) array built from the ``edges`` tuple, in its order."""
+    powers = np.array(discount_powers(inst.quit_prob, inst.num_slots + 1))
+    edges = np.array(inst.edges, dtype=np.float64).reshape(-1, 3)
+    edges[:, 2] *= powers[edges[:, 1].astype(np.intp)]
+    return edges
+
+
+def _weight_instances():
+    for scheme in ("symmetric", "finely_targeted", "heavy_top",
+                   "heavy_bottom"):
+        yield generate(GeneratorConfig(scheme, n=12, m=40, seed=3))
+    yield gen_adversarial(30, q=0.2)
+    yield gen_session_blocks(m=60, seed=2, blocks=6, categories=5,
+                             slots_per_block=4)
+    yield gen_session_youtube(m=50, seed=2, num_categories=4, advertisers=3)
+    rng = make_rng(50)
+    for _ in range(50):
+        yield sparse_instance(rng)
+    yield _inst(4, 7, 0.2, [(3, 6, 1.0), (1, 2, 2.0), (3, 2, 0.5), (2, 6, 4.0)])
+    for n, m in ((0, 0), (0, 5), (4, 0), (3, 3)):
+        yield _inst(n, m, 0.1, [])
+
+
+def test_static_weights_match_edge_tuple_oracle():
+    for inst in _weight_instances():
+        weights = _static_weights(inst)
+        assert weights.dtype == np.float64
+        assert np.array_equal(weights, edge_tuple_static_weights(inst))
+
+
+def test_matchers_on_an_instance_without_edges():
+    for n, m in ((0, 0), (0, 5), (4, 0), (3, 3)):
+        inst = _inst(n, m, 0.1, [])
+        assert _static_weights(inst).shape == (0, 3)
+        for solver in (mwm_baseline, flow_baseline):
+            report = solver(inst)
+            assert report.allocation.entries == ()
+            assert report.expected_reward == 0.0
 
 
 def test_flow_cardinality_values():

@@ -1,9 +1,11 @@
 """Objective evaluation, suffix identities, validation, and file formats."""
 
 import dataclasses
+import gc
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from feedalloc.core import (Allocation, FormatError, InvalidAllocationError,
                             read_allocation, read_instance, suffix_reward,
                             suffix_value, suffix_vector, validate_allocation,
                             write_allocation, write_instance)
+from feedalloc.generators import gen_symmetric
 from suffix_tree import SuffixTree
 
 
@@ -286,9 +289,36 @@ def test_read_instance_rejects_empty_file(tmp_path):
 
 
 def test_candidates_are_sorted():
-    inst = _inst(3, 3, 0.1, [(3, 1, 1.0), (1, 1, 1.0), (1, 3, 1.0)])
-    assert inst.candidates(1) == [1, 3]
-    assert inst.candidates(2) == []
+    inst = _inst(3, 3, 0.1, [(3, 1, 2.0), (1, 1, 1.0), (1, 3, 1.0)])
+    ads, rewards = inst.row(1)
+    assert list(ads) == [1, 3] and list(rewards) == [1.0, 2.0]
+    assert inst.row(2) == ((), ())
+
+
+def test_edges_come_from_the_rows_in_ad_slot_order():
+    edges = [(i, j, float(i * 10 + j)) for i in range(1, 5)
+             for j in range(1, 7) if (i + j) % 3]
+    shuffled = list(edges)
+    make_rng(7).shuffle(shuffled)
+    built = [ProblemInstance(4, 6, 0.2, tuple(shuffled)),
+             ProblemInstance(4, 6, 0.2, (edge for edge in shuffled)),
+             ProblemInstance(4, 6, 0.2, iter(edges))]
+    for inst in built:
+        assert inst.edges == tuple(edges)
+        assert all(inst.row(j) == built[0].row(j) for j in range(8))
+
+
+def test_a_built_instance_keeps_only_its_rows():
+    # the rows of 100 000 edges; a tuple per edge alone would take ~12 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        inst = gen_symmetric(100, 1000, seed=1)
+        gc.collect()
+        kept, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.num_slots == 1000 and kept < 4e6
 
 
 def _has_problem(n, m, q, edges):
@@ -378,7 +408,7 @@ def test_construction_refuses_exactly_the_invalid_inputs(args):
         write_instance(inst, path)
         back = read_instance(path)
     assert (back.num_ads, back.num_slots, back.quit_prob) == (n, m, q)
-    assert back.edges == inst.edges == tuple(edges)
+    assert back.edges == inst.edges == tuple(sorted(edges))
 
 
 @settings(max_examples=100, deadline=None)
@@ -425,8 +455,9 @@ def test_rows_hold_every_edge_of_a_shuffled_list(args, data):
     reward = {(i, j): r for i, j, r in edges}
     for j in range(m + 2):
         ads, rewards = inst.row(j)
-        assert list(ads) == inst.candidates(j) \
-            == sorted(i for i, slot in reward if slot == j)
+        assert list(ads) == sorted(i for i, slot in reward if slot == j)
+        if not ads:
+            assert (ads, rewards) == ((), ())
         assert list(rewards) == [reward[(i, j)] for i in ads]
         for i in range(n + 2):
             if (i, j) in reward:
