@@ -40,8 +40,8 @@ def global_greedy(inst, max_assignments=None):
     re-evaluation below the stale boundary re-runs the recursion down to
     the entry it reads.  A stale f is recomputed at most once per commit
     that made it stale, so the cost is O(|E| log |E| + pops * log |M| +
-    commits * |M|) in the worst case, which needs commits that land above
-    many entries in no slot order, as at q near 0.
+    commits * |M|) at worst, for commits above many entries in no slot
+    order, as at small q > 0; at q = 0, g ignores f and nothing is re-run.
 
     At one slot every free ad shares the discount and f_j, so the gain is
     monotone in r_ij and only the slot's best free ad (largest r, then
@@ -95,7 +95,7 @@ def global_greedy(inst, max_assignments=None):
             continue
         r, i = rewards[order[-1]], ads[order[-1]]
         p = bisect_right(slots, j)    # the first entry after j
-        if p < fresh:
+        if p < fresh and q:           # at q = 0 the gain ignores f_j
             for k in range(fresh - 1, p - 1, -1):
                 fs[k] = powers[slots[k + 1] - slots[k]] \
                     * (entry_rewards[k + 1] + s * fs[k + 1])
@@ -168,16 +168,16 @@ def online_threshold(inst, threshold="auto", max_assignments=None):
 
 
 def _static_weights(inst):
-    """Position-biased static weights w_ij = r_ij * (1-q)^j, as an
-    (|E|, 3) array of (ad, slot, weight) rows in increasing (ad, slot)
-    order, built from the rows without a tuple per edge."""
+    """Position-biased static weights w_ij = r_ij * (1-q)^j, as an (|E|, 3)
+    array of (ad, slot, weight) rows in the rows' own increasing (slot, ad)
+    order, in which the matcher skips its parallel-edge step."""
     slots = [j for j in range(1, inst.num_slots + 1) if inst.row(j)[0]]
     ads, rewards = zip(*map(inst.row, slots)) if slots else ((), ())
     ad = np.fromiter(chain.from_iterable(ads), np.float64)
     slot = np.repeat(np.array(slots, dtype=np.intp), [len(a) for a in ads])
     powers = np.array(discount_powers(inst.quit_prob, inst.num_slots + 1))
     weight = np.frombuffer(b"".join(rewards)) * powers[slot]
-    return np.column_stack((ad, slot, weight))[np.lexsort((slot, ad))]
+    return np.column_stack((ad, slot, weight))
 
 
 def mwm_baseline(inst):

@@ -1,7 +1,8 @@
 """Command-line front end: generate instances, run solvers, verify
 allocations, simulate sessions, and run benchmark suites to CSV.
 
-Exit codes: 0 success; 1 usage error, e.g. a negative ``--n``, a
+Exit codes: 0 success; 1 usage error, e.g. a negative ``--n`` or
+``--simulate``, a NaN, infinite or negative ``--time-limit``, a
 ``--threshold`` that is neither ``auto`` nor a number or is given to a
 solver other than online, ``--n`` for a scheme whose generator takes no n,
 ``--C`` for any scheme but adversarial, or another value the generator
@@ -126,6 +127,13 @@ def _threshold(text):
     return float(text)
 
 
+def _seconds(text):
+    """argparse type: a finite number of seconds >= 0."""
+    if not 0.0 <= float(text) < math.inf:
+        raise argparse.ArgumentTypeError("not a finite number >= 0: %r" % text)
+    return float(text)
+
+
 def _names(known):
     """argparse type: comma-separated names, each one of ``known``."""
     def names(text):
@@ -184,7 +192,7 @@ def build_parser():
     _size_flags(p)
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--k", type=_count, default=None)
-    p.add_argument("--time-limit", type=float, default=3600.0,
+    p.add_argument("--time-limit", type=_seconds, default=3600.0,
                    help="soft per-run wall-clock limit in seconds")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-out", default=None)
@@ -194,7 +202,7 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("allocation")
     p.add_argument("--mode", choices=["matching", "mapping"], default="matching")
-    p.add_argument("--simulate", type=int, default=0)
+    p.add_argument("--simulate", type=_count, default=0)
     p.add_argument("--seed", type=_count, default=1)
     p.set_defaults(run=cmd_verify)
 
@@ -235,10 +243,10 @@ def cmd_gen(args):
         config.params["C"] = args.C
     inst = _generate(config)
     core.write_instance(inst, args.out)
+    edges = sum(len(inst.row(j)[0]) for j in range(1, inst.num_slots + 1))
     print("wrote %s: n=%d m=%d q=%s |E|=%d" % (args.out, inst.num_ads,
                                                inst.num_slots,
-                                               _num(inst.quit_prob),
-                                               len(inst.edges)))
+                                               _num(inst.quit_prob), edges))
     return EXIT_OK
 
 
@@ -372,11 +380,18 @@ def cmd_verify(args):
 def cmd_slots_cdf(args):
     inst = core.read_instance(args.instance)
     m = inst.num_slots
+    # a CDF of slots holds for either mode, so ads may repeat
+    allocs = [core.read_allocation(path, Mode.MAPPING)
+              for path in args.allocations]
+    for path, alloc in zip(args.allocations, allocs):
+        try:
+            core.checked_pairs(inst, alloc)
+        except core.InvalidAllocationError as exc:
+            raise core.InvalidAllocationError("%s: %s" % (path, exc)) from None
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["allocation", "slot", "cdf"])
-        for path in args.allocations:
-            alloc = core.read_allocation(path)
+        for path, alloc in zip(args.allocations, allocs):
             slots = sorted(alloc.slots())
             if not slots:
                 print("warning: %s is empty, no CDF emitted" % path,

@@ -6,13 +6,14 @@ solve it with SciPy's sparse Jonker-Volgenant solver LAPJVsp
 Volgenant 1987, Computing 38).
 
 Reduction.  Only edges of positive weight enter, so zero-weight edges are
-never forced; of parallel edges only the heaviest is kept.  The smaller
-side of the remaining graph becomes the rows.  Each row gets a private
-dummy column of weight 5e-324 (the solver drops explicit zeros), so a full
-assignment always exists and a row on its dummy is left unmatched.  A cap
-k below the row count r adds r - k shared dummy columns of weight
-1 + sum(w): each outweighs all real edges together, so an optimum fills
-every shared dummy and leaves at most k rows on real edges.
+never forced; of parallel edges, equal in (slot, ad) compared exactly, only
+the heaviest is kept, a step skipped when the pairs strictly ascend, as an
+instance's static weights do.  The smaller side of the remaining graph becomes
+the rows.  Each row gets a private dummy column of weight 5e-324 (the solver
+drops explicit zeros), so a full assignment always exists and a row on its
+dummy is left unmatched.  A cap k below the row count r adds r - k shared
+dummy columns of weight 1 + sum(w): each outweighs all real edges together, so
+an optimum fills every shared dummy and leaves at most k rows on real edges.
 
 Pruning under a cap.  Before the dummies are added the edges are cut to
 (1) each slot's k heaviest, (2) each ad's k heaviest of those, and (3) the
@@ -48,6 +49,15 @@ def _keep_top(group, w, k):
     return keep
 
 
+def _drop_parallel(e):
+    """All but the heaviest row of each (slot, ad) pair, in input order."""
+    ds = np.diff(e[:, 1])
+    if np.all((ds > 0) | ((ds == 0) & (np.diff(e[:, 0]) > 0))):
+        return e        # the pairs strictly ascend, so none repeats
+    order = np.lexsort((-e[:, 2], e[:, 0], e[:, 1]))
+    return e[np.sort(order[np.r_[True, np.diff(e[order, :2], axis=0).any(1)]])]
+
+
 def _solve(edges, k=None):
     e = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
     bad = np.flatnonzero(~(np.isfinite(e[:, 2]) & (e[:, 2] >= 0.0)))
@@ -59,7 +69,7 @@ def _solve(edges, k=None):
     if (k is not None and k <= 0) or not len(e):
         return [], 0.0
     # the heaviest of parallel edges, then the pruning steps under a cap
-    e = e[_keep_top(e[:, 0] * (e[:, 1].max() + 1) + e[:, 1], e[:, 2], 1)]
+    e = _drop_parallel(e)
     if k is not None:
         e = e[_keep_top(e[:, 1], e[:, 2], k)]
         e = e[_keep_top(e[:, 0], e[:, 2], k)]

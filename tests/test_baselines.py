@@ -17,6 +17,8 @@ from feedalloc.core import (Allocation, Mode, ProblemInstance,
 from feedalloc.generators import (GeneratorConfig, gen_adversarial,
                                   gen_finely_targeted, gen_session_blocks,
                                   gen_session_youtube, gen_symmetric, generate)
+from feedalloc.matching import (constrained_max_weight_matching,
+                                max_weight_matching)
 from feedalloc.oracle import brute_force_matching
 from suffix_tree import SuffixTree
 
@@ -245,11 +247,11 @@ def test_mwm_is_optimal_at_q_zero():
 
 def edge_tuple_static_weights(inst):
     """Reference implementation: the static weights r_ij * (1-q)^j as an
-    (|E|, 3) array built from the ``edges`` tuple, in its order."""
+    (|E|, 3) array built from the ``edges`` tuple, in (slot, ad) order."""
     powers = np.array(discount_powers(inst.quit_prob, inst.num_slots + 1))
     edges = np.array(inst.edges, dtype=np.float64).reshape(-1, 3)
     edges[:, 2] *= powers[edges[:, 1].astype(np.intp)]
-    return edges
+    return edges[np.lexsort((edges[:, 0], edges[:, 1]))]
 
 
 def _weight_instances():
@@ -273,6 +275,55 @@ def test_static_weights_match_edge_tuple_oracle():
         weights = _static_weights(inst)
         assert weights.dtype == np.float64
         assert np.array_equal(weights, edge_tuple_static_weights(inst))
+
+
+def test_static_weights_strictly_ascend_by_slot_then_ad():
+    # the order in which the matcher skips its parallel-edge step
+    for inst in _weight_instances():
+        keys = [(j, i) for i, j, _w in _static_weights(inst).tolist()]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def _shuffled_with_parallel_copies(weights, rng):
+    """The same triples in random order, each with a lighter parallel copy
+    (scaled by 1/2 or 0) added at random."""
+    triples = [tuple(row) for row in weights.tolist()]
+    triples += [(i, j, w * rng.choice((0.5, 0.0))) for i, j, w in triples
+                if rng.random() < 0.5]
+    rng.shuffle(triples)
+    return triples
+
+
+def _tie_heavy_instance(rng):
+    """A sparse instance with integer rewards 1..3 at q = 0, so the
+    weights are exact integers and many optima tie."""
+    inst = sparse_instance(rng, n_max=8, m_max=10, q_choices=(0.0,))
+    return _inst(inst.num_ads, inst.num_slots, 0.0,
+                 [(i, j, float(rng.randint(1, 3))) for i, j, _r in inst.edges])
+
+
+def test_matcher_on_instance_weights_equals_the_dedupe_path():
+    rng = make_rng(51)
+    instances = list(_weight_instances())
+    instances += [_tie_heavy_instance(rng) for _ in range(30)]
+    for inst in instances:
+        weights = _static_weights(inst)
+        edges = _shuffled_with_parallel_copies(weights, rng)
+        for k in (None, 1, 2, 9):
+            if k is None:
+                fast = max_weight_matching(weights)
+                slow = max_weight_matching(edges)
+            else:
+                fast = constrained_max_weight_matching(weights, k)
+                slow = constrained_max_weight_matching(edges, k)
+            assert fast[1] == slow[1], (inst, k)
+            if fast[0] != slow[0]:
+                # a tied optimum: the same total from other pairs
+                weight = {(i, j): w for i, j, w in weights.tolist()}
+                assert sum(map(weight.get, slow[0])) \
+                    == sum(map(weight.get, fast[0]))
+                assert len({i for i, _ in slow[0]}) == len(slow[0])
+                assert len({j for _, j in slow[0]}) == len(slow[0])
 
 
 def test_matchers_on_an_instance_without_edges():

@@ -41,7 +41,7 @@ def test_gen_defaults_to_the_scheme_generator_size(tmp_path, capsys):
     out = tmp_path / "sb.txt"
     assert cli.main(["gen", "--scheme", "session_blocks", "--out", str(out)]) \
         == cli.EXIT_OK
-    assert "n=14400 m=1440 " in capsys.readouterr().out
+    assert "n=14400 m=1440 q=0.1 |E|=144000" in capsys.readouterr().out
     inst = core.read_instance(out)
     assert (inst.num_ads, inst.num_slots, len(inst.edges)) \
         == (14400, 1440, 144000)
@@ -396,6 +396,9 @@ def test_malformed_suite_file_exits_2(tmp_path, capsys, text, line):
     ["solve", "INSTANCE", "online", "--threshold", "abc"],
     ["solve", "INSTANCE", "online", "--threshold", "nan"],
     ["solve", "INSTANCE", "gb", "--threshold", "5"],  # online alone takes it
+    ["bench", "--time-limit", "nan"],
+    ["bench", "--time-limit", "inf"],
+    ["bench", "--time-limit", "-1"],
 ])
 def test_malformed_flag_exits_1(tmp_path, argv):
     _inst, path = _write_inst(tmp_path)
@@ -426,3 +429,53 @@ def test_slots_cdf(tmp_path, capsys):
     assert len(rows) == inst.num_slots
     assert float(rows[0]["cdf"]) == pytest.approx(0.5)
     assert float(rows[-1]["cdf"]) == pytest.approx(1.0)
+
+
+def test_slots_cdf_refuses_an_invalid_allocation(tmp_path, capsys):
+    edges = [(1, j, 1.0) for j in range(1, 9)] + [(2, 3, 2.0)]
+    _inst, path = _write_inst(tmp_path, n=2, m=8, edges=edges)
+    good = tmp_path / "good.txt"
+    good.write_text("1 1\n3 2\n")
+    out = tmp_path / "cdf.csv"
+    for text in ("1 1\n9 1\n",          # slot 9 of an m = 8 instance
+                 "1 1\n1 1\n",          # slot 1 twice
+                 "2 2\n"):              # no edge (ad 2, slot 2)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert cli.main(["slots-cdf", path, str(good), str(bad), "--out",
+                         str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: invalid allocation: " % bad)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_slots_cdf_takes_a_mapping_allocation(tmp_path):
+    _inst, path = _write_inst(tmp_path, n=1, m=3,
+                              edges=[(1, 1, 1.0), (1, 3, 2.0)])
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("1 1\n3 1\n")   # ad 1 twice: a mapping
+    out = tmp_path / "cdf.csv"
+    assert cli.main(["slots-cdf", path, str(alloc_path), "--out", str(out)]) \
+        == cli.EXIT_OK
+    with open(out, newline="") as fh:
+        assert [row["cdf"] for row in csv.DictReader(fh)] == ["0.5", "0.5", "1"]
+
+
+@pytest.mark.parametrize("count", ["-5", "2.5"])
+def test_verify_simulate_takes_a_count(tmp_path, capsys, count):
+    _inst, path = _write_inst(tmp_path)
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("1 1\n")
+    assert cli.main(["verify", path, str(alloc_path), "--simulate", count]) \
+        == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: argument --simulate: ")
+    assert captured.out == ""
+
+
+def test_time_limit_takes_finite_seconds():
+    parser = cli.build_parser()
+    for text, value in (("0", 0.0), ("1.5", 1.5), ("1e3", 1000.0)):
+        args = parser.parse_args(["bench", "--time-limit", text, "--out", "x"])
+        assert args.time_limit == value

@@ -125,6 +125,23 @@ def test_parallel_edges_keep_the_heaviest():
     assert constrained_max_weight_matching(edges, 1) == ([(1, 1)], 5.0)
 
 
+def test_distinct_edges_whose_float_keys_collide():
+    # ad * (max_slot + 1) + slot rounds to the same float64 for both edges
+    # (2**54 + 2**30 - 1 and 2**54 + 2**30 + 1), yet ads and slots differ
+    edges = [(2 ** 24, 2 ** 30 - 1, 1.0), (2 ** 24 + 1, 1, 1.0)]
+    want = ([(2 ** 24, 2 ** 30 - 1), (2 ** 24 + 1, 1)], 2.0)
+    for order in (edges, edges[::-1]):
+        assert max_weight_matching(order) == want
+        assert constrained_max_weight_matching(order, 2) == want
+
+
+def test_sorted_parallel_edges_keep_the_heaviest():
+    # (slot, ad) pairs that ascend but not strictly still take the dedupe
+    edges = [(1, 1, 2.0), (1, 1, 5.0), (2, 1, 4.0), (2, 2, 1.0), (2, 2, 0.5)]
+    assert max_weight_matching(edges) == ([(1, 1), (2, 2)], 6.0)
+    assert constrained_max_weight_matching(edges, 1) == ([(1, 1)], 5.0)
+
+
 def test_import_does_not_load_scipy():
     # the solver imports scipy on first use, keeping ``import feedalloc``
     # cheap for commands that never match
