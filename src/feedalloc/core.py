@@ -12,15 +12,15 @@ The expected reward of an allocation M is
 where B(j) is the number of occupied slots strictly before j: the user must
 survive j item-views plus B(j) ad-views to reach the ad at slot j.
 
-``ProblemInstance`` consumes its edges, any iterable, once: it files each
-checked edge into its slot's row, the ads in increasing index and their
-rewards in a parallel array of doubles (``row``), and keeps only the rows.
-``edges`` rebuilds the triples from them in (ad, slot) order on each
-access, O(|E| log |E|), for I/O and oracles only.  Every index, of an
-edge, an allocation entry or a suffix, must equal its ``int()``; none is
-truncated.  ``checked_pairs`` is the one place an allocation is checked
-and its rewards read.  Two evaluators compute f and its suffix values
-f_j(M), one job each:
+``ProblemInstance`` keeps only per-slot rows (``row``): ads ascending, and
+their rewards as doubles.  It takes triples, checking and filing each, or
+rows ``{slot: (ads, rewards)}``, copied when valid as given and else checked
+as their triples; it keeps nothing it was passed.  ``edges`` rebuilds the
+triples in (ad, slot) order, O(|E| log |E|), for I/O and oracles only.
+Sizes stay below 2**53, so float64 index columns are exact.  Every index,
+of an edge, an allocation entry or a suffix, must equal its ``int()``.
+``checked_pairs`` is the one place an allocation is checked and its rewards
+read.  Two evaluators compute f and its suffix values f_j(M), one job each:
 
 - ``suffix_value``: the direct fold.  It is the reference behind
   ``expected_reward``, ``suffix_reward`` and the brute-force oracles.
@@ -40,8 +40,10 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
-from operator import ge
+from itertools import islice, zip_longest
+from operator import ge, lt
+
+import numpy as np
 
 
 class Mode(Enum):
@@ -63,25 +65,61 @@ def _converted(kind, x):
     return y if y == x else math.nan
 
 
+def _rows_as_given(rows, n, m):
+    """Copies of the rows ``{slot: (ads, rewards)}``, or None unless each is
+    valid as given: an ``int`` slot in 1..m, ``int`` ads strictly ascending
+    in 1..n, and as many float64 rewards, finite and >= 0."""
+    ads_at, rewards_at = {}, {}
+    try:
+        for j, (ads, rewards) in rows.items():
+            ads, rewards = list(ads), np.asarray(rewards)
+            if not (type(j) is int and 0 < j <= m and rewards.dtype == float
+                    and rewards.shape == (len(ads),)
+                    and set(map(type, ads)) == {int} and 0 < ads[0]
+                    and ads[-1] <= n and all(map(lt, ads, ads[1:]))
+                    and 0.0 <= rewards.min() <= rewards.max() < math.inf):
+                return None    # so is an empty row: it has no int ad
+            ads_at[j], rewards_at[j] = ads, array("d", rewards.tobytes())
+    except (TypeError, ValueError):    # a value that is no pair of sequences
+        return None
+    return ads_at, rewards_at
+
+
+def _triples(rows):
+    """The triples of the rows, the shorter side padded with None; a value
+    that is no (ads, rewards) pair gives its key, as iterating a dict does."""
+    for j, row in rows.items():
+        try:
+            yield from [(i, j, r) for i, r in zip_longest(*row)]
+        except (TypeError, ValueError):
+            yield j
+
+
 class ProblemInstance:
     """Immutable problem input. Do not mutate after construction.
 
-    Ads are indexed 1..num_ads, slots 1..num_slots.  Construction checks
-    every (ad, slot, reward) triple of ``edges`` and raises
-    ``InvalidInstanceError`` on any problem, so no invalid instance exists.
-    The sizes are kept as the ``int`` and q as the ``float`` they were
-    checked as.
+    Ads are indexed 1..num_ads, slots 1..num_slots, both below 2**53.
+    ``edges`` are (ad, slot, reward) triples or a dict of rows; construction
+    checks every edge and raises ``InvalidInstanceError`` on any problem, so
+    no invalid instance exists.  The sizes are kept as the ``int`` and q as
+    the ``float`` they were checked as.
     """
 
     def __init__(self, num_ads, num_slots, quit_prob, edges=()):
         n, m = _converted(int, num_ads), _converted(int, num_slots)
         q = _converted(float, quit_prob)
-        problems = ["%s must be a non-negative integer" % name
+        problems = ["%s must be a non-negative integer below 2**53" % name
                     for name, count in (("num_ads", n), ("num_slots", m))
-                    if not count >= 0]    # NaN unless an integer
+                    if not 0 <= count < 2 ** 53]  # NaN unless an integer
         bad, inf = problems.append, math.inf
         if not 0.0 <= q < 1.0:
             bad("quit_prob out of range [0, 1): %r" % (quit_prob,))
+        self.num_ads, self.num_slots, self.quit_prob = n, m, q
+        if isinstance(edges, dict):    # rows {slot: (ads, rewards)}
+            rows, edges = _rows_as_given(edges, n, m), _triples(edges)
+            if rows and not problems:
+                self._ads, self._rewards = rows
+                return
         ads_at, rewards_at = {}, {}
         try:
             raw_edges = iter(edges)
@@ -127,7 +165,6 @@ class ProblemInstance:
         if problems:
             raise InvalidInstanceError("invalid instance: "
                                        + "; ".join(problems))
-        self.num_ads, self.num_slots, self.quit_prob = n, m, q
         self._ads, self._rewards = ads_at, rewards_at
 
     def reward(self, ad, slot):

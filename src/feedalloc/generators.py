@@ -8,7 +8,8 @@ category x time-bucket reward table).  Real data files are never read; the
 statistics default to documented synthetic values.
 
 All generators are pure functions of their arguments; the PRNG is NumPy's
-default_rng with an explicit seed.
+default_rng with an explicit seed.  All but the adversarial chain build
+rows ``{slot: (ads, rewards)}`` from numpy arrays, with no tuple per edge.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -37,9 +39,9 @@ class GeneratorConfig:
 
 
 def _complete(n, m, q, rewards):
-    edges = ((i, j, r) for i, row in enumerate(rewards.tolist(), 1)
-             for j, r in enumerate(row, 1))
-    return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q, edges=edges)
+    ads = list(range(1, n + 1))    # each slot's row holds all ads
+    return ProblemInstance(n, m, q, {j: (ads, column)
+                                     for j, column in enumerate(rewards.T, 1)})
 
 
 def gen_symmetric(n=100, m=1000, q=0.1, seed=1, integer=False):
@@ -163,14 +165,15 @@ def gen_session_blocks(m=1440, q=0.1, seed=1, blocks=144, categories=100,
     reward_table = np.asarray(reward_table, dtype=float)
     if reward_table.shape != (categories, m):
         raise ValueError("reward_table must have shape (categories, m)")
-    edges = []
+    attached = {}    # slot -> the ad list of each block it is attached to
     for h in range(blocks):
         slots = np.sort(rng.choice(m, size=slots_per_block, replace=False))
-        js = (slots + 1).tolist()
-        for ad, rewards in enumerate(reward_table[:, slots].tolist(),
-                                     h * categories + 1):
-            edges.extend((ad, j, r) for j, r in zip(js, rewards))
-    return ProblemInstance(blocks * categories, m, q, edges)
+        ads = list(range(h * categories + 1, (h + 1) * categories + 1))
+        for j in (slots + 1).tolist():
+            attached.setdefault(j, []).append(ads)
+    return ProblemInstance(blocks * categories, m, q, {
+        j: (list(chain(*lists)), np.tile(reward_table[:, j - 1], len(lists)))
+        for j, lists in attached.items()})
 
 
 # scheme name -> generator; the heavy schemes bind ``direction``

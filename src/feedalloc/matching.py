@@ -60,6 +60,10 @@ def _drop_parallel(e):
 
 def _solve(edges, k=None):
     e = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
+    big = np.flatnonzero((e[:, 0] >= 2.0 ** 53) | (e[:, 1] >= 2.0 ** 53))
+    if big.size:    # float64 may have rounded them onto other indices
+        raise ValueError("edge %r: ad and slot must be below 2**53"
+                         % (edges[big[0]],))
     bad = np.flatnonzero(~(np.isfinite(e[:, 2]) & (e[:, 2] >= 0.0)))
     if bad.size:
         i, j, _w = e[bad[0]]
@@ -104,12 +108,12 @@ def _solve(edges, k=None):
 
 def constrained_max_weight_matching(edges, k):
     """Maximum-weight matching of at most ``k`` pairs over a sequence of
-    (ad, slot, weight) triples with finite weights >= 0.
-    Returns (sorted list of (ad, slot), total weight)."""
+    (ad, slot, weight) triples, ad and slot below 2**53 and weights
+    finite and >= 0.  Returns (sorted list of (ad, slot), total weight)."""
     return _solve(edges, k)
 
 
 def max_weight_matching(edges):
-    """Maximum-weight matching over (ad, slot, weight) triples (no size cap).
-    Returns (sorted list of (ad, slot), total weight)."""
+    """Maximum-weight matching over (ad, slot, weight) triples as above, with
+    no size cap.  Returns (sorted list of (ad, slot), total weight)."""
     return _solve(edges)

@@ -186,6 +186,15 @@ def test_invalid_instance_from_gen_or_file_exits_2(tmp_path, capsys):
                      str(tmp_path / "cdf.csv")]) == cli.EXIT_VALIDATION
 
 
+def test_a_size_of_2_53_or_more_exits_2(tmp_path, capsys):
+    # above 2**53 a float64 index column would merge distinct ads
+    big = tmp_path / "big.txt"
+    big.write_text("9007199254740992 2 0.1\n9007199254740991 1 1.0\n")
+    assert cli.main(["solve", str(big), "mwm"]) == cli.EXIT_VALIDATION
+    assert "%s: invalid instance: num_ads must be a non-negative integer " \
+        "below 2**53" % big in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path):
     assert cli.main(["solve", str(tmp_path / "none.txt"), "gb"]) \
         == cli.EXIT_VALIDATION

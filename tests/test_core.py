@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import os
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (allocation_file_bytes, make_rng, random_matching,
                       sparse_instance)
+from feedalloc import core
 from feedalloc.cli import SOLVERS
 from feedalloc.core import (Allocation, FormatError, InvalidAllocationError,
                             InvalidInstanceError, Mode, ProblemInstance,
@@ -419,6 +421,137 @@ def test_construction_refuses_an_edge_of_another_arity(args):
     with pytest.raises(InvalidInstanceError,
                        match=r"not an \(ad, slot, reward\) triple"):
         ProblemInstance(n, m, q, tuple(edges))
+
+
+def _as_rows(edges, shape):
+    """``edges`` as rows {slot: (ads, rewards)}, each sorted by ad where the
+    ads compare, then bent by ``shape``: one row reversed ("unsorted"),
+    short of a reward ("short") or with one too many ("long"), or every
+    row's rewards as a numpy array ("array")."""
+    rows = {}
+    for i, j, r in edges:
+        ads, rewards = rows.setdefault(j, ([], []))
+        ads.append(i)
+        rewards.append(r)
+    for ads, rewards in rows.values():
+        try:
+            order = sorted(range(len(ads)), key=ads.__getitem__)
+        except TypeError:    # text beside numbers: left as drawn
+            continue
+        ads[:] = [ads[k] for k in order]
+        rewards[:] = [rewards[k] for k in order]
+    if rows and shape in ("unsorted", "short", "long"):
+        ads, rewards = next(iter(rows.values()))
+        {"unsorted": ads.reverse, "short": rewards.pop,
+         "long": lambda: rewards.append(1.0)}[shape]()
+    if shape == "array":
+        rows = {j: (ads, np.array(rewards))
+                for j, (ads, rewards) in rows.items()}
+    return rows
+
+
+def _built(n, m, q, edges):
+    """The sizes, every row and the edges of the instance, or its error."""
+    try:
+        inst = ProblemInstance(n, m, q, edges)
+    except InvalidInstanceError as err:
+        return str(err)
+    rows = [(type(ads), type(rewards), list(ads), bytes(rewards))
+            for ads, rewards in map(inst.row, range(inst.num_slots + 2))]
+    return inst.num_ads, inst.num_slots, inst.quit_prob, rows, inst.edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(_instance_inputs(), st.sampled_from((None, "unsorted", "short", "long",
+                                            "array")))
+def test_rows_build_what_their_triples_build(args, shape):
+    n, m, q, edges = args
+    rows = _as_rows(edges, shape)
+    triples = [(i, j, r) for j, (ads, rewards) in rows.items()
+               for i, r in itertools.zip_longest(ads, rewards)]
+    built = _built(n, m, q, rows)
+    assert built == _built(n, m, q, triples)
+    if shape is None and not _has_problem(n, m, q, edges):
+        assert built[3] == _built(n, m, q, tuple(edges))[3]
+
+
+@pytest.mark.parametrize("rows, valid", [
+    ({1: ([2, 1], [1.0, 2.0])}, True),                # unsorted
+    ({1: ([1, 1], [1.0, 2.0])}, False),               # a repeated ad
+    ({1: ([0, 1], [1.0, 2.0])}, False),               # ads out of range
+    ({1: ([1, 3], [1.0, 2.0])}, False),
+    ({1: ([1.5], [1.0])}, False),                     # a non-integer ad
+    ({1: ([2.0], [1.0])}, True),
+    ({0: ([1], [1.0])}, False),                       # slot 0 or m + 1
+    ({3: ([1], [1.0])}, False),
+    ({1.5: ([1], [1.0])}, False),                     # a non-int slot key
+    ({"1": ([1], [1.0])}, False),
+    ({1: ([1, 2], [1.0])}, False),                    # lengths that differ
+    ({1: ([1], np.array([1.0, 2.0]))}, False),
+    ({1: ([1], [math.nan])}, False),                  # a bad reward
+    ({1: ([1], np.array([-1.0]))}, False),
+    ({1: ([1, 2], np.array([1.0, math.inf]))}, False),
+    ({1: ([1], [-math.inf])}, False),
+    ({1: ([1, 2], [3, 4])}, True),                    # not float64 rewards
+    ({1: ([1], np.array([0.1], dtype=np.float32))}, True),
+    ({1: ([1], ["1.5"])}, False),
+])
+def test_rows_not_valid_as_given_build_as_their_triples(rows, valid):
+    triples = [(i, j, r) for j, (ads, rewards) in rows.items()
+               for i, r in itertools.zip_longest(ads, rewards)]
+    built = _built(2, 2, 0.1, rows)
+    assert built == _built(2, 2, 0.1, triples)
+    assert isinstance(built, str) is not valid
+
+
+def test_valid_rows_skip_the_edge_loop(monkeypatch):
+    def no_triples(_rows):
+        raise AssertionError("the rows went through the edge loop")
+        yield
+    monkeypatch.setattr(core, "_triples", no_triples)
+    inst = ProblemInstance(3, 4, 0.1, {4: ([1, 3], np.array([2.0, 0.0])),
+                                       2: ((2,), [5.0])})
+    assert inst.edges == ((1, 4, 2.0), (2, 2, 5.0), (3, 4, 0.0))
+    for rows in ({4: ([3, 1], [2.0, 0.0])}, {3: ([], [])}):
+        with pytest.raises(AssertionError, match="edge loop"):
+            ProblemInstance(3, 4, 0.1, rows)
+
+
+def test_an_instance_keeps_no_row_it_was_given():
+    ads, rewards, column = [1, 3], [2.0, 5.0], np.array([4.0, 6.0])
+    inst = ProblemInstance(3, 2, 0.1, {1: (ads, rewards), 2: (ads, column)})
+    ads[:] = [2, 2]
+    rewards[0] = math.nan
+    column[:] = -1.0
+    assert inst.edges == ((1, 1, 2.0), (1, 2, 4.0), (3, 1, 5.0), (3, 2, 6.0))
+    assert inst.row(1)[0] is not inst.row(2)[0]    # one list per slot
+
+
+def test_a_row_that_is_no_pair_names_its_slot():
+    for value in (5, None, ([1],), ([1], [1.0], [0]), (1, 1.0)):
+        with pytest.raises(InvalidInstanceError) as err:
+            ProblemInstance(2, 3, 0.1, {1: ([1], [1.0]), 2: value})
+        assert str(err.value) == ("invalid instance: edge 2: not an (ad, "
+                                  "slot, reward) triple")
+    # a dict keyed by triples is read as its keys, as iterating it reads it
+    edges = ((1, 1, 1.0), (2, 3, 0.5))
+    assert ProblemInstance(2, 3, 0.1, dict.fromkeys(edges)).edges == edges
+
+
+def test_sizes_of_2_53_or_more_are_refused():
+    # every float64 index column (the matcher's) is exact below 2**53
+    for n, m, name in ((2 ** 53, 2, "num_ads"), (2, 2 ** 53 + 2, "num_slots")):
+        with pytest.raises(InvalidInstanceError, match="^invalid instance: "
+                           "%s must be a non-negative integer below 2\\*\\*53$"
+                           % name):
+            ProblemInstance(n, m, 0.1, ())
+    with pytest.raises(InvalidInstanceError, match="num_ads"):
+        ProblemInstance(2 ** 53 + 2, 2, 0.1,
+                        [(2 ** 53 + 1, 1, 1.0), (2 ** 53, 2, 1.0)])
+    inst = ProblemInstance(2 ** 53 - 1, 2, 0.1,
+                           [(2 ** 53 - 1, 1, 1.0), (2 ** 53 - 2, 2, 1.0)])
+    assert SOLVERS["mwm"](inst).allocation.entries \
+        == ((1, 2 ** 53 - 1), (2, 2 ** 53 - 2))
 
 
 def _listed_problems(reward, entries, matching):

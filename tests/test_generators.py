@@ -5,6 +5,8 @@ import time
 import numpy as np
 import pytest
 
+from feedalloc import generators
+from feedalloc.core import ProblemInstance, write_instance
 from feedalloc.generators import (SCHEMES, SIZED_SCHEMES, GeneratorConfig,
                                   _browse_permutation, gen_adversarial,
                                   gen_asymmetric, gen_finely_targeted,
@@ -198,3 +200,95 @@ def test_browse_permutation_outpaces_the_set_oracle():
 
     assert 2 * best_of_3(_browse_permutation, categories) \
         < best_of_3(_set_browse_permutation, list(categories))
+
+
+def _tuple_complete(n, m, q, rewards):
+    """The ``_complete`` that fed one (ad, slot, reward) tuple per edge
+    through the edge loop, kept as the oracle of the row form."""
+    edges = ((i, j, r) for i, row in enumerate(rewards.tolist(), 1)
+             for j, r in enumerate(row, 1))
+    return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q, edges=edges)
+
+
+def _tuple_session_blocks(m=1440, q=0.1, seed=1, blocks=144, categories=100,
+                          slots_per_block=10, reward_table=None):
+    """The tuple-building ``gen_session_blocks``, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    if reward_table is None:
+        reward_table = rng.uniform(8.4, 1500.0, size=(categories, m))
+    reward_table = np.asarray(reward_table, dtype=float)
+    if reward_table.shape != (categories, m):
+        raise ValueError("reward_table must have shape (categories, m)")
+    edges = []
+    for h in range(blocks):
+        slots = np.sort(rng.choice(m, size=slots_per_block, replace=False))
+        js = (slots + 1).tolist()
+        for ad, rewards in enumerate(reward_table[:, slots].tolist(),
+                                     h * categories + 1):
+            edges.extend((ad, j, r) for j, r in zip(js, rewards))
+    return ProblemInstance(blocks * categories, m, q, edges)
+
+
+def _oracle_generate(config):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generators, "_complete", _tuple_complete)
+        patch.setitem(SCHEMES, "session_blocks", _tuple_session_blocks)
+        return generate(config)
+
+
+# scheme -> (n, m, params) at the default, tiny and degenerate sizes
+# (finely_targeted draws a target slot per ad, so it needs m > 0 for n > 0)
+ORACLE_SIZES = {
+    "symmetric": [(None, None, {}), (4, 7, {"integer": True}), (0, 7, {}),
+                  (4, 0, {}), (0, 0, {})],
+    "heavy_top": [(None, None, {}), (4, 7, {}), (0, 7, {}), (4, 0, {})],
+    "heavy_bottom": [(None, None, {}), (4, 7, {}), (0, 7, {}), (4, 0, {})],
+    "finely_targeted": [(None, None, {}), (4, 7, {}), (0, 7, {})],
+    "adversarial": [(None, 20, {}), (None, 3, {})],
+    "session_youtube": [(None, None, {}),
+                        (None, 9, {"num_categories": 2, "advertisers": 2}),
+                        (None, 9, {"advertisers": 0})],
+    "session_blocks": [(None, None, {}),
+                       (None, 12, {"blocks": 3, "categories": 4,
+                                   "slots_per_block": 2}),
+                       (None, 12, {"blocks": 0}),
+                       (None, 0, {"blocks": 0}),
+                       (None, 12, {"categories": 0, "blocks": 3})],
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_generators_build_what_the_tuple_oracles_build(scheme, tmp_path):
+    assert set(ORACLE_SIZES) == set(SCHEMES)
+    for seed in (1, 2, 3):
+        for n, m, params in ORACLE_SIZES[scheme]:
+            config = GeneratorConfig(scheme, n=n, m=m, seed=seed,
+                                     params=params)
+            got, want = generate(config), _oracle_generate(config)
+            files = []
+            for inst in (got, want):
+                files.append(tmp_path / ("%d.txt" % len(files)))
+                write_instance(inst, files[-1])
+            assert files[0].read_bytes() == files[1].read_bytes(), config
+            assert got.edges == want.edges
+            for j in range(got.num_slots + 2):
+                (ads, rewards), (want_ads, want_rewards) = got.row(j), \
+                    want.row(j)
+                assert list(ads) == list(want_ads)
+                assert bytes(rewards) == bytes(want_rewards)
+
+
+def test_row_form_outpaces_the_tuple_oracle():
+    # the tuple oracle files 100 000 edges one by one; the row form was 4-6x
+    # faster on a 2-vCPU VM
+    def best_of_3(build):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            build()
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    config = GeneratorConfig("symmetric", n=100, m=1000)
+    assert 2 * best_of_3(lambda: generate(config)) \
+        < best_of_3(lambda: _oracle_generate(config))

@@ -177,3 +177,19 @@ def test_stop_at_nonnegative_cost_matches_matching_rule():
     pairs, weight = constrained_max_weight_matching(
         [(1, 1, 4.0), (2, 2, 0.0)], k=2)
     assert pairs == [(1, 1)] and weight == pytest.approx(4.0)
+
+
+def test_indices_of_2_53_or_more_are_refused():
+    # float64 rounds 2**53 + 1 onto 2**53: the two ads would merge, and the
+    # returned pair would name an ad that is not in the input
+    edges = [(2 ** 53 + 1, 1, 1.0), (2 ** 53, 2, 1.0)]
+    for solve in (max_weight_matching,
+                  lambda e: constrained_max_weight_matching(e, 1)):
+        with pytest.raises(ValueError, match=r"^edge \(9007199254740993, 1, "
+                           r"1\.0\): ad and slot must be below 2\*\*53"):
+            solve(edges)
+        with pytest.raises(ValueError, match=r"^edge \(1, 9007199254740992"):
+            solve([(1, 1, 1.0), (1, 2 ** 53, 1.0)])
+    below = [(2 ** 53 - 1, 1, 1.0), (2 ** 53 - 2, 2, 1.0)]
+    assert max_weight_matching(below) \
+        == ([(2 ** 53 - 2, 2), (2 ** 53 - 1, 1)], 2.0)
