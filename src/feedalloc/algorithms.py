@@ -12,8 +12,9 @@ estimates tau_i, giving the same 2-approximation.
 Both keep the entries slot-descending, each with its suffix value f from
 ``core.entry_suffixes``'s recursion, and every entry lies after the slot
 being processed: ``backwards_greedy`` reads f_j(M) off the lowest entry,
-``nonoblivious_backwards_greedy`` rolls it from slot to slot.  A
-re-assignment re-runs the recursion below the moved entry only.  The exact
+``nonoblivious_backwards_greedy`` rolls it from slot to slot.  As in
+``global_greedy``, a zero reward at slot m + 1 closes the list.  A move
+re-runs the recursion below the moved entry only (``_drop``).  The exact
 gain has a closed form in f_j(M), the moved ad's list position and its
 entry's f, so both do O(1) work per candidate and cost O(|E| + m + R * |M|)
 for R re-assignments.
@@ -72,10 +73,11 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
 
     The entries are kept slot-descending, each with its f from the
     ``entry_suffixes`` recursion, and every entry lies after the slot being
-    processed.  So f_j is read off the lowest entry, and an ad at position
-    k of the list has p_i + 1 = |M| - k.  A move re-runs the recursion, and
-    the ads' positions, below the removed entry only.  A candidate costs
-    O(1), and the whole sweep O(|E| + m + R * |M|) for R re-assignments.
+    processed, under a zero reward at slot m + 1.  So f_j is read off the
+    lowest entry, and an ad at list position k has p_i + 1 = |M| + 1 - k.
+    A move re-runs the recursion, and the ads' positions, below the removed
+    entry only.  A candidate costs O(1), and the whole sweep
+    O(|E| + m + R * |M|) for R re-assignments.
 
     Ties break to the lowest ad index among gains equal in floating point;
     unplaced ads with equal rewards always tie exactly.  Gains that differ
@@ -99,7 +101,8 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
     matching = mode is Mode.MATCHING
     # exponents sigma(i) - j + p_i + 1 stay below 2m
     powers = discount_powers(q, 2 * m)
-    slots, ads, rewards, fs = [], [], [], []   # slot-descending entries
+    # slot-descending entries under a zero reward at slot m + 1
+    slots, ads, rewards, fs = [m + 1], [None], [0.0], [0.0]
     where = [None] * (inst.num_ads + 1)   # ad -> list position, matching mode
     # slot -> (locked ad, reward); a pair that is no edge raises here
     seeded = {j: (i, inst.reward(i, j)) for j, i in initial or ()}
@@ -144,16 +147,9 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
             commits += 1
             if best_k is not None:
                 reassigns += 1
-                k = best_k
-                del slots[k], ads[k], rewards[k], fs[k]
-                # the entries below k change their f and their position
-                slot, r, f = _above(slots, rewards, fs, k)
-                for p in range(k, len(slots)):
-                    below = slots[p]
-                    f = powers[slot - below] * (r + s * f)
-                    fs[p] = f
+                _drop(slots, ads, rewards, fs, best_k, s, powers)
+                for p in range(best_k, len(slots)):   # moved up by one
                     where[ads[p]] = p
-                    slot, r = below, rewards[p]
             fs.append(_head(slots, rewards, fs, j, s, powers))
             if matching:
                 where[best_i] = len(slots)
@@ -166,7 +162,7 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
                                     committed,
                                     committed and best_k is not None))
     return solve_report("gb" if matching else "gb-mapping", inst,
-                        zip(slots, ads), t0,
+                        zip(slots[1:], ads[1:]), t0,
                         {"gain_evals": evals, "commits": commits,
                          "reassignments": reassigns}, mode)
 
@@ -200,8 +196,9 @@ def nonoblivious_backwards_greedy(inst, log=None):
     q = inst.quit_prob
     s = 1.0 - q
     m = inst.num_slots
-    powers = discount_powers(q, m)    # gaps between slots are below m
-    slots, ads, rewards, fs = [], [], [], []   # slot-descending entries
+    powers = discount_powers(q, m + 1)    # gaps between slots are <= m
+    # slot-descending entries under a zero reward at slot m + 1
+    slots, ads, rewards, fs = [m + 1], [None], [0.0], [0.0]
     tau = [None] * (inst.num_ads + 1)   # ad -> tau, None while unmatched
     sigma = [0] * (inst.num_ads + 1)    # ad -> matched slot
     rolled = 0            # lowest entries whose tau came from the rolled f_j
@@ -210,7 +207,7 @@ def nonoblivious_backwards_greedy(inst, log=None):
     for j in range(m, 0, -1):
         if j < m:
             # roll f_{j+1} -> f_j over slot j+1 (one backward-recursion step)
-            if slots and slots[-1] == j + 1:
+            if slots[-1] == j + 1:
                 r_next = rewards[-1]
                 cur = s * (cur + (r_next - q * cur))
             else:
@@ -243,18 +240,9 @@ def nonoblivious_backwards_greedy(inst, log=None):
                 reassigns += 1
                 k = slots.index(sigma[best_i])
                 lo = min(k, len(slots) - rolled)
-                del slots[k], ads[k], rewards[k], fs[k]
-                for p in range(lo, k):
+                _drop(slots, ads, rewards, fs, k, s, powers)
+                for p in range(lo, len(slots)):
                     tau[ads[p]] = rewards[p] - q * fs[p]
-                # the entries below k change their f
-                slot, r, f = _above(slots, rewards, fs, k)
-                for p in range(k, len(slots)):
-                    below = slots[p]
-                    f = powers[slot - below] * (r + s * f)
-                    fs[p] = f
-                    r = rewards[p]
-                    tau[ads[p]] = r - q * f
-                    slot = below
                 rolled = 0
                 cur = _head(slots, rewards, fs, j, s, powers)
                 f = cur
@@ -271,25 +259,25 @@ def nonoblivious_backwards_greedy(inst, log=None):
             log.append(IterationLog(j, len(cand_ads),
                                     best_i if committed else None, g_lb,
                                     committed, reassigned))
-    return solve_report("gbp", inst, zip(slots, ads), t0,
+    return solve_report("gbp", inst, zip(slots[1:], ads[1:]), t0,
                         {"scores": scored, "commits": commits,
                          "reassignments": reassigns})
 
 
-def _above(slots, rewards, fs, k):
-    """(slot, reward, f) of the entry above position k of slot-descending
-    entries, from which ``entry_suffixes``'s recursion restarts at k.  Above
-    the top entry it is a zero reward at the entry's own slot, which gives
-    the top entry f = 0 exactly."""
-    if k:
-        return slots[k - 1], rewards[k - 1], fs[k - 1]
-    return (slots[0] if slots else 0), 0.0, 0.0
+def _drop(slots, ads, rewards, fs, k, s, powers):
+    """Delete entry k >= 1 of slot-descending entries and re-run
+    ``entry_suffixes``'s recursion for the entries below it; the closing
+    entry above a top entry gives it f = 0 exactly."""
+    del slots[k], ads[k], rewards[k], fs[k]
+    slot, r, f = slots[k - 1], rewards[k - 1], fs[k - 1]
+    for p in range(k, len(slots)):
+        below = slots[p]
+        f = fs[p] = powers[slot - below] * (r + s * f)
+        slot, r = below, rewards[p]
 
 
 def _head(slots, rewards, fs, j, s, powers):
     """f_j(M) of slot-descending entries that all lie after slot j."""
-    if not slots:
-        return 0.0
     return powers[slots[-1] - j] * (rewards[-1] + s * fs[-1])
 
 

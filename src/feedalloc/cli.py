@@ -79,6 +79,15 @@ SOLVERS = {
 }
 
 
+def _parameters(algorithm, threshold=None):
+    """The parameters of solver ``algorithm``; a ``threshold`` for a solver
+    that takes none is a UsageError."""
+    takes = inspect.signature(SOLVERS[algorithm]).parameters
+    if threshold is not None and "threshold" not in takes:
+        raise UsageError("--threshold does not apply to solver %s" % algorithm)
+    return takes
+
+
 def run_solver(inst, algorithm, k=None, threshold=None):
     """Run one registered solver under an optional k-limit.  A solver whose
     signature takes ``max_assignments`` stops at k itself; any other is
@@ -86,9 +95,7 @@ def run_solver(inst, algorithm, k=None, threshold=None):
     solver's wall time and counters with the pruned allocation's reward.
     A ``threshold`` for a solver that takes none is a UsageError."""
     solver = SOLVERS[algorithm]
-    takes = inspect.signature(solver).parameters
-    if threshold is not None and "threshold" not in takes:
-        raise UsageError("--threshold does not apply to solver %s" % algorithm)
+    takes = _parameters(algorithm, threshold)
     kwargs = {"threshold": threshold, "max_assignments": k}
     report = solver(inst, **{key: value for key, value in kwargs.items()
                              if key in takes and value is not None})
@@ -251,6 +258,7 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
+    _parameters(args.algorithm, args.threshold)    # before reading the file
     inst = core.read_instance(args.instance)
     report = run_solver(inst, args.algorithm, k=args.k,
                         threshold=args.threshold)

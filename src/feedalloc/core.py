@@ -134,10 +134,12 @@ class ProblemInstance:
                 continue
             try:
                 i, j, r = int(raw_i), int(raw_j), float(raw_r)
+                exact = i == raw_i and j == raw_j  # no truncation or parsing
             except (TypeError, ValueError, OverflowError):  # a bad field: NaN
                 i, j, r = (_converted(int, raw_i), _converted(int, raw_j),
                            _converted(float, raw_r))
-            if i != raw_i or j != raw_j:  # int() truncated or parsed text
+                exact = i == i and j == j    # not NaN: no array is compared
+            if not exact:
                 bad("edge (%r, %r): non-integer index" % (raw_i, raw_j))
                 continue
             if not 1 <= i <= n:

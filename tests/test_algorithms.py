@@ -2,6 +2,8 @@
 
 import bisect
 import dataclasses
+import math
+import struct
 
 import pytest
 
@@ -14,6 +16,8 @@ from feedalloc.core import (Allocation, Mode, ProblemInstance, entry_suffixes,
 from feedalloc.generators import gen_session_blocks, gen_session_youtube
 from feedalloc.oracle import brute_force_mapping, brute_force_matching
 from suffix_tree import SuffixTree
+from unclosed_sweeps import (unclosed_backwards_greedy,
+                             unclosed_nonoblivious_backwards_greedy)
 
 
 def _inst(n, m, q, edges):
@@ -534,3 +538,87 @@ def test_trace_records_hold_scalars_only():
                     assert value is None or type(value) in (int, float, bool), \
                         (field.name, value)
     assert records
+
+
+def _record(rec):
+    """A log record's fields, its gain as bytes, so equal means bit for bit
+    and NaN equals NaN."""
+    gain = "nan" if math.isnan(rec.gain) else struct.pack("<d", rec.gain)
+    return dataclasses.astuple(rec)[:3] + (gain, rec.committed, rec.reassigned)
+
+
+def _sweeps(inst):
+    """(solver, oracle, kwargs) of every sweep: gb in both modes, gb
+    seeded with the flow baseline's pairs in both modes, and gbp."""
+    flow = flow_baseline(inst).allocation.entries
+    for mode in (Mode.MATCHING, Mode.MAPPING):
+        yield backwards_greedy, unclosed_backwards_greedy, {"mode": mode}
+        yield (backwards_greedy, unclosed_backwards_greedy,
+               {"mode": mode, "initial": flow})
+    yield (nonoblivious_backwards_greedy,
+           unclosed_nonoblivious_backwards_greedy, {})
+
+
+def _top_moves(logs, initial):
+    """How many re-assignments of a trace move the top entry: the chosen ad
+    leaves the highest occupied slot above the record's own."""
+    slot_of = {i: j for j, i in initial}
+    occupied = set(slot_of.values())
+    moves = 0
+    for rec in logs:
+        if rec.reassigned:
+            old = slot_of[rec.chosen]
+            moves += old == max(occupied)
+            occupied.remove(old)
+        if rec.committed:
+            slot_of[rec.chosen] = rec.slot
+            occupied.add(rec.slot)
+    return moves
+
+
+def _assert_same_as_unclosed_sweeps(inst):
+    """Every sweep gives the oracle's entries, counters, reward and log
+    records; returns how many of its re-assignments moved the top entry."""
+    moves = 0
+    for solver, oracle, kwargs in _sweeps(inst):
+        report, logs = instrumented_run(solver, inst, **kwargs)
+        old, old_logs = instrumented_run(oracle, inst, **kwargs)
+        assert report.algorithm == old.algorithm
+        assert report.allocation == old.allocation
+        assert report.counters == old.counters
+        assert report.expected_reward == old.expected_reward
+        assert list(map(_record, logs)) == list(map(_record, old_logs))
+        moves += _top_moves(logs, kwargs.get("initial", ()))
+    return moves
+
+
+@pytest.mark.parametrize("make", [_float_instance, _tie_instance])
+def test_sweeps_equal_unclosed_sweeps(make):
+    rng = make_rng(40)
+    moves = 0
+    for _ in range(200):
+        inst = make(rng, rng.randint(1, 10), rng.randint(0, 30),
+                    rng.choice((0.0, 0.05, 0.1, 0.3, 0.6, 0.9)),
+                    rng.uniform(0.2, 1.0))
+        moves += _assert_same_as_unclosed_sweeps(inst)
+    # a move of the top entry restarts the recursion from the closing entry
+    assert moves
+
+
+def test_sweeps_equal_unclosed_sweeps_where_discounts_underflow():
+    rng = make_rng(41)
+    _assert_same_as_unclosed_sweeps(_float_instance(rng, 5, 8000, 0.1, 0.002))
+    inst = _inst(20, 8000, 0.1, [(i, j, rng.uniform(0.1, 10.0))
+                                 for i in range(1, 21) for j in range(1, 8001)
+                                 if rng.random() < (0.3 if j <= 300 else 0.002)])
+    assert (1.0 - inst.quit_prob) ** inst.num_slots == 0.0
+    assert _assert_same_as_unclosed_sweeps(inst)
+
+
+def test_sweeps_equal_unclosed_sweeps_on_session_instances():
+    for seed in (1, 2):
+        for inst in (gen_session_blocks(m=60, seed=seed, blocks=6,
+                                        categories=8, slots_per_block=5),
+                     gen_session_youtube(m=40, seed=seed, advertisers=3,
+                                         num_categories=4)):
+            _assert_same_as_unclosed_sweeps(inst)

@@ -417,6 +417,19 @@ def test_malformed_flag_exits_1(tmp_path, argv):
     assert not out.exists()
 
 
+def test_a_threshold_is_refused_before_the_instance_is_read(tmp_path, capsys):
+    # the refusal does not wait for, or depend on, the instance file
+    missing = str(tmp_path / "missing.txt")
+    assert cli.main(["solve", missing, "gb", "--threshold", "5"]) \
+        == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --threshold does not apply to solver gb")
+    assert "missing.txt" not in err
+    assert cli.main(["solve", missing, "online", "--threshold", "5"]) \
+        == cli.EXIT_VALIDATION
+    assert "missing.txt" in capsys.readouterr().err
+
+
 def test_bench_rejects_unknown_names(tmp_path):
     out = tmp_path / "bench.csv"
     assert cli.main(["bench", "--algorithms", "nope", "--out", str(out)]) \

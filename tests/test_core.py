@@ -538,6 +538,19 @@ def test_a_row_that_is_no_pair_names_its_slot():
     assert ProblemInstance(2, 3, 0.1, dict.fromkeys(edges)).edges == edges
 
 
+@pytest.mark.parametrize("edges", [
+    [(np.array([1, 2]), 1, 1.0)],
+    [(1, np.array([1, 2]), 1.0)],
+    {1: ([np.array([1, 2])], [1.0])},
+])
+def test_an_array_index_is_a_non_integer_index(edges):
+    # comparing NaN with an array has no truth value: a bare ValueError
+    with pytest.raises(InvalidInstanceError, match=r"^invalid instance: "
+                       r"edge \((array\(\[1, 2\]\), 1|1, array\(\[1, 2\]\))\): "
+                       r"non-integer index$"):
+        ProblemInstance(2, 2, 0.1, edges)
+
+
 def test_sizes_of_2_53_or_more_are_refused():
     # every float64 index column (the matcher's) is exact below 2**53
     for n, m, name in ((2 ** 53, 2, "num_ads"), (2, 2 ** 53 + 2, "num_slots")):

@@ -77,6 +77,54 @@ def test_session_youtube_shape_and_alphas():
     assert all(r >= 0.0 for _, _, r in inst.edges)
 
 
+def _youtube(**params):
+    return generate(GeneratorConfig("session_youtube", m=12, seed=4,
+                                    params=dict(num_categories=3,
+                                                advertisers=2, **params)))
+
+
+def _slot_categories(inst, advertisers):
+    """Each slot's item category, read off the one category of ads that
+    take the slot's largest reward (alpha_match > alpha_mismatch)."""
+    cats = []
+    for j in range(1, inst.num_slots + 1):
+        ads, rewards = inst.row(j)
+        (k,) = {(i - 1) // advertisers for i, r in zip(ads, rewards)
+                if r == max(rewards)}
+        cats.append(k)
+    return cats
+
+
+def test_session_youtube_takes_category_stats_and_item_categories():
+    stats = [(100.0, 0.0), (250.0, 0.0), (400.0, 0.0)]
+    items = [2, 0, 0, 1, 2, 2, 1, 0, 0, 0, 1, 2]
+    inst = _youtube(category_stats=stats, item_categories=items,
+                    alpha_match=0.8, alpha_mismatch=0.01)
+    # sigma 0: each reward is exactly alpha * mu of the slot's category
+    cats = _slot_categories(inst, 2)
+    for j, k in enumerate(cats, 1):
+        mu = stats[k][0]
+        for i, r in zip(*inst.row(j)):
+            assert r == (0.8 * mu if (i - 1) // 2 == k else 0.01 * mu)
+    # the given categories, in the browse order the seed draws first
+    order = _browse_permutation(np.asarray(items), 0.5,
+                                np.random.default_rng(4))
+    assert cats == [items[v] for v in order]
+    assert sorted(cats) == sorted(items)
+    # p_same 1 browses each category to its end before moving on
+    runs = _slot_categories(_youtube(category_stats=stats,
+                                     item_categories=items, p_same=1.0), 2)
+    assert [k for k, prev in zip(runs, [None] + runs) if k != prev] \
+        == list(dict.fromkeys(runs))
+
+
+def test_session_youtube_refuses_stats_of_the_wrong_length():
+    for stats in ([(100.0, 0.0)] * 2, [(100.0, 0.0)] * 4):
+        with pytest.raises(ValueError, match="one \\(mu, sigma\\) pair "
+                           "per category"):
+            _youtube(category_stats=stats)
+
+
 def test_session_blocks_default_shape():
     inst = gen_session_blocks()
     assert inst.num_ads == 14400
