@@ -205,13 +205,11 @@ def nonoblivious_backwards_greedy(inst, log=None):
     commits = reassigns = scored = 0
     cur = 0.0             # f_j(M) for the slot being processed
     for j in range(m, 0, -1):
-        if j < m:
-            # roll f_{j+1} -> f_j over slot j+1 (one backward-recursion step)
-            if slots[-1] == j + 1:
-                r_next = rewards[-1]
-                cur = s * (cur + (r_next - q * cur))
-            else:
-                cur = s * cur
+        # roll f_{j+1} -> f_j over slot j+1 (one backward-recursion step)
+        if slots[-1] == j + 1:
+            cur = s * (cur + (rewards[-1] - q * cur))
+        else:
+            cur = s * cur
         cand_ads, cand_rewards = inst.row(j)
         if not cand_ads:
             if log is not None:
@@ -243,12 +241,10 @@ def nonoblivious_backwards_greedy(inst, log=None):
                 _drop(slots, ads, rewards, fs, k, s, powers)
                 for p in range(lo, len(slots)):
                     tau[ads[p]] = rewards[p] - q * fs[p]
-                rolled = 0
-                cur = _head(slots, rewards, fs, j, s, powers)
-                f = cur
-            else:
-                rolled += 1
-                f = _head(slots, rewards, fs, j, s, powers)
+            rolled = 0 if reassigned else rolled + 1
+            f = _head(slots, rewards, fs, j, s, powers)
+            if reassigned:    # f_j(M) from the recursion, not rolled
+                cur = f
             tau[best_i] = best_r - q * cur
             sigma[best_i] = j
             slots.append(j)

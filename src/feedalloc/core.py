@@ -12,9 +12,10 @@ The expected reward of an allocation M is
 where B(j) is the number of occupied slots strictly before j: the user must
 survive j item-views plus B(j) ad-views to reach the ad at slot j.
 
-``ProblemInstance`` keeps only per-slot rows (``row``): ads ascending, and
-their rewards as doubles.  It takes triples, checking and filing each, or
-rows ``{slot: (ads, rewards)}``, copied when valid as given and else checked
+``ProblemInstance`` keeps one dict of per-slot rows ``{slot: (ads,
+rewards)}`` (``row``): ads ascending, and their rewards as doubles.  It
+takes triples, filing each checked one by slot and ad, so a repeated pair is
+named where it is met, or rows, copied when valid as given and else checked
 as their triples; it keeps nothing it was passed.  ``edges`` rebuilds the
 triples in (ad, slot) order, O(|E| log |E|), for I/O and oracles only.
 Sizes stay below 2**53, so float64 index columns are exact.  Every index,
@@ -38,10 +39,11 @@ import math
 import time
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice, zip_longest
-from operator import ge, lt
+from itertools import zip_longest
+from operator import lt
 
 import numpy as np
 
@@ -69,7 +71,7 @@ def _rows_as_given(rows, n, m):
     """Copies of the rows ``{slot: (ads, rewards)}``, or None unless each is
     valid as given: an ``int`` slot in 1..m, ``int`` ads strictly ascending
     in 1..n, and as many float64 rewards, finite and >= 0."""
-    ads_at, rewards_at = {}, {}
+    copies = {}
     try:
         for j, (ads, rewards) in rows.items():
             ads, rewards = list(ads), np.asarray(rewards)
@@ -79,10 +81,10 @@ def _rows_as_given(rows, n, m):
                     and ads[-1] <= n and all(map(lt, ads, ads[1:]))
                     and 0.0 <= rewards.min() <= rewards.max() < math.inf):
                 return None    # so is an empty row: it has no int ad
-            ads_at[j], rewards_at[j] = ads, array("d", rewards.tobytes())
+            copies[j] = ads, array("d", rewards.tobytes())
     except (TypeError, ValueError):    # a value that is no pair of sequences
         return None
-    return ads_at, rewards_at
+    return copies
 
 
 def _triples(rows):
@@ -117,10 +119,10 @@ class ProblemInstance:
         self.num_ads, self.num_slots, self.quit_prob = n, m, q
         if isinstance(edges, dict):    # rows {slot: (ads, rewards)}
             rows, edges = _rows_as_given(edges, n, m), _triples(edges)
-            if rows and not problems:
-                self._ads, self._rewards = rows
+            if rows is not None and not problems:
+                self._rows = rows
                 return
-        ads_at, rewards_at = {}, {}
+        rows = defaultdict(dict)    # slot -> {ad: reward}
         try:
             raw_edges = iter(edges)
         except TypeError:
@@ -148,45 +150,37 @@ class ProblemInstance:
                 bad("edge (%d, %d): slot index out of range" % (i, j))
             if not (0.0 <= r < inf and r == raw_r):
                 bad("edge (%d, %d): reward %r invalid" % (i, j, raw_r))
-            try:
-                ads_at[j].append(i)
-                rewards_at[j].append(r)
-            except KeyError:    # the slot's first edge
-                ads_at[j], rewards_at[j] = [i], [r]
-        for j, ads in ads_at.items():
-            rewards = rewards_at[j]
-            if any(map(ge, ads, islice(ads, 1, None))):  # not ascending
-                order = sorted(range(len(ads)), key=ads.__getitem__)
-                ads[:] = [ads[k] for k in order]
-                rewards[:] = [rewards[k] for k in order]
-                problems.extend("duplicate edge (%d, %d)" % (i, j)
-                                for i, prev in zip(islice(ads, 1, None), ads)
-                                if i == prev)
-            # contiguous doubles: a row scan reads no scattered float objects
-            rewards_at[j] = array("d", rewards)
+            row = rows[j]
+            if i in row:
+                bad("duplicate edge (%d, %d)" % (i, j))
+            row[i] = r
         if problems:
             raise InvalidInstanceError("invalid instance: "
                                        + "; ".join(problems))
-        self._ads, self._rewards = ads_at, rewards_at
+        for j, row in rows.items():    # each dict is freed as its row is made
+            ads = sorted(row)
+            # contiguous doubles: a row scan reads no scattered float objects
+            rows[j] = ads, array("d", map(row.__getitem__, ads))
+        self._rows = dict(rows)
 
     def reward(self, ad, slot):
         """r_{ad, slot}; raises ``KeyError`` if there is no such edge."""
-        ads = self._ads.get(slot, ())
+        ads, rewards = self._rows.get(slot, ((), ()))
         k = bisect_left(ads, ad)
         if k == len(ads) or ads[k] != ad:
             raise KeyError((ad, slot))
-        return self._rewards[slot][k]
+        return rewards[k]
 
     def row(self, slot):
         """(ads, rewards) of ``slot``: its ads in increasing index and their
         rewards as an ``array('d')``; ``((), ())`` if none.  Read-only."""
-        return self._ads.get(slot, ()), self._rewards.get(slot, ())
+        return self._rows.get(slot, ((), ()))
 
     @property
     def edges(self):
         """The edges in (ad, slot) order, rebuilt from the rows each time."""
-        return tuple(sorted((i, j, r) for j, ads in self._ads.items()
-                            for i, r in zip(ads, self._rewards[j])))
+        return tuple(sorted((i, j, r) for j, (ads, rewards)
+                            in self._rows.items() for i, r in zip(ads, rewards)))
 
 
 class InvalidAllocationError(ValueError):

@@ -8,8 +8,10 @@ category x time-bucket reward table).  Real data files are never read; the
 statistics default to documented synthetic values.
 
 All generators are pure functions of their arguments; the PRNG is NumPy's
-default_rng with an explicit seed.  All but the adversarial chain build
-rows ``{slot: (ads, rewards)}`` from numpy arrays, with no tuple per edge.
+default_rng with an explicit seed.  Every generator builds rows
+``{slot: (ads, rewards)}``, with no tuple per edge, and checks the sizes it
+builds from: a size no instance of its scheme can have is a ValueError
+naming the parameter.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ def gen_adversarial(m=None, C=None, q=0.5):
     C = 2.0 ** (2 * m - 1) if C is None else C
     if m < 2 or C <= 0:
         raise ValueError("need m >= 2 and C > 0")
-    edges = tuple((j, j, 1.0 if j < m else float(C)) for j in range(1, m + 1))
-    return ProblemInstance(num_ads=m, num_slots=m, quit_prob=q, edges=edges)
+    return ProblemInstance(m, m, q, {j: ([j], [1.0 if j < m else float(C)])
+                                     for j in range(1, m + 1)})
 
 
 def _browse_permutation(categories, p_same, rng):
@@ -97,6 +99,8 @@ def _browse_permutation(categories, p_same, rng):
     item of a different category, falling back to any unseen item."""
     categories = np.asarray(categories)
     m = len(categories)
+    if m == 0:
+        return []
     unseen = np.ones(m, dtype=bool)
     cur = int(rng.integers(m))
     order = [cur]
@@ -127,6 +131,9 @@ def gen_session_youtube(m=200, q=0.1, seed=1, num_categories=8, advertisers=15,
     the slot, and alpha depending on whether ad and item categories match.
     If no stats are supplied, synthetic defaults are drawn from the seed
     (mu in [50, 500], sigma in [10, 100])."""
+    if not _converted(int, num_categories) >= min(m, 1):
+        raise ValueError("num_categories must be an integer >= 1 (>= 0 at "
+                         "m = 0), not %r" % (num_categories,))
     rng = np.random.default_rng(seed)
     if category_stats is None:
         mus = rng.uniform(50.0, 500.0, size=num_categories)
@@ -136,7 +143,12 @@ def gen_session_youtube(m=200, q=0.1, seed=1, num_categories=8, advertisers=15,
         raise ValueError("need one (mu, sigma) pair per category")
     if item_categories is None:
         item_categories = rng.integers(0, num_categories, size=m)
-    item_categories = np.asarray(item_categories)
+    item_categories = np.asarray(item_categories, dtype=object)
+    if item_categories.shape != (m,) or not all(
+            0 <= _converted(int, k) < num_categories for k in item_categories):
+        raise ValueError("item_categories must be m = %d integers in "
+                         "0..num_categories - 1" % m)
+    item_categories = item_categories.astype(int)
     order = _browse_permutation(item_categories, p_same, rng)
     slot_cat = item_categories[order]          # category of the item before slot j
     n = advertisers * num_categories
@@ -159,6 +171,9 @@ def gen_session_blocks(m=1440, q=0.1, seed=1, blocks=144, categories=100,
     slot time bucket); with no table supplied a synthetic one is drawn
     uniformly from [8.4, 1500] (the reward range this scenario targets).
     Defaults give n = 14400, m = 1440, |E| = 144000."""
+    if blocks and not 0 <= slots_per_block <= m:
+        raise ValueError("slots_per_block must be in 0..m = %d when blocks "
+                         ">= 1, not %r" % (m, slots_per_block))
     rng = np.random.default_rng(seed)
     if reward_table is None:
         reward_table = rng.uniform(8.4, 1500.0, size=(categories, m))

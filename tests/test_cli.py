@@ -501,3 +501,55 @@ def test_time_limit_takes_finite_seconds():
     for text, value in (("0", 0.0), ("1.5", 1.5), ("1e3", 1000.0)):
         args = parser.parse_args(["bench", "--time-limit", text, "--out", "x"])
         assert args.time_limit == value
+
+
+def test_solve_online_takes_threshold_auto(tmp_path, capsys):
+    inst, path = _write_inst(tmp_path)
+    assert cli.main(["solve", path, "online", "--threshold", "auto",
+                     "--json"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    # auto: the best reward at slot 1, so only the 7.0 at slot 4 exceeds it
+    assert report["counters"]["threshold"] == 5.0
+    assert report["size"] == 1
+    assert report["reward"] == core.expected_reward(
+        inst, Allocation(entries=((4, 3),)))
+
+
+def test_bench_marks_a_run_over_its_time_limit_timeout(tmp_path):
+    out, summary = tmp_path / "bench.csv", tmp_path / "summary.csv"
+    assert cli.main(["bench", "--schemes", "symmetric", "--algorithms",
+                     "gbp,forward", "--seeds", "1,2", "--n", "3", "--m", "4",
+                     "--time-limit", "0", "--out", str(out),
+                     "--summary-out", str(summary)]) == cli.EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["timeout"] * 4
+    assert [row["reward"] for row in rows] == [""] * 4
+    with open(summary, newline="") as fh:
+        assert list(csv.DictReader(fh)) == []
+
+
+def test_slots_cdf_warns_of_an_empty_allocation_and_writes_the_others(
+        tmp_path, capsys):
+    inst, path = _write_inst(tmp_path)
+    empty, good = tmp_path / "empty.txt", tmp_path / "good.txt"
+    empty.write_text("")
+    good.write_text("1 1\n4 3\n")
+    out = tmp_path / "cdf.csv"
+    assert cli.main(["slots-cdf", path, str(empty), str(good), "--out",
+                     str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().err \
+        == "warning: %s is empty, no CDF emitted\n" % empty
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["allocation"] for row in rows] == [str(good)] * inst.num_slots
+    assert [row["cdf"] for row in rows] == ["0.5", "0.5", "0.5", "1"]
+
+
+def test_gen_refuses_more_slots_per_block_than_slots(tmp_path, capsys):
+    out = tmp_path / "sb.txt"
+    assert cli.main(["gen", "--scheme", "session_blocks", "--m", "5",
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: slots_per_block ")
+    assert not out.exists()

@@ -24,6 +24,7 @@ from feedalloc.core import (Allocation, FormatError, InvalidAllocationError,
                             suffix_value, suffix_vector, validate_allocation,
                             write_allocation, write_instance)
 from feedalloc.generators import gen_symmetric
+from listed_instance import ListedInstance
 from suffix_tree import SuffixTree
 
 
@@ -680,3 +681,45 @@ def test_suffix_tree_matches_direct_fold(run):
             occupied[slot] = reward
             tree.insert(slot, reward)
         check(base)
+
+
+def _built_by(build, n, m, q, edges):
+    """``build``'s sizes, rows (types, ads, reward bytes) and edges, or the
+    sorted problems it refuses the input with."""
+    try:
+        inst = build(n, m, q, edges)
+    except InvalidInstanceError as err:
+        return sorted(str(err).split("invalid instance: ", 1)[1].split("; "))
+    rows = [(type(ads), type(rewards), list(ads), bytes(rewards))
+            for ads, rewards in map(inst.row, range(inst.num_slots + 2))]
+    return inst.num_ads, inst.num_slots, inst.quit_prob, rows, inst.edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.tuples(_instance_inputs(faults=FAULTS + ("arity",)), st.just("triples")),
+    st.tuples(_instance_inputs(), st.sampled_from((None, "unsorted", "short",
+                                                   "long", "array")))))
+def test_construction_builds_what_the_listed_construction_builds(case):
+    (n, m, q, edges), shape = case
+    given = tuple(edges) if shape == "triples" else _as_rows(edges, shape)
+    built = _built_by(ProblemInstance, n, m, q, given)
+    assert built == _built_by(ListedInstance, n, m, q, given)
+
+
+def test_a_repeated_pair_is_named_where_it_is_met(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("3 3 0.1\n1 1 1.0\n2 9 1.0\n1 1 2.0\n3 2 -1\n")
+    with pytest.raises(InvalidInstanceError) as err:
+        read_instance(path)
+    assert str(err.value) == (
+        "%s: invalid instance: edge (2, 9): slot index out of range; "
+        "duplicate edge (1, 1); edge (3, 2): reward -1.0 invalid" % path)
+    # each repeat is named, in rows as in triples
+    for edges in ([(1, 1, 1.0), (1, 1, 2.0), (0, 1, 1.0), (1, 1, 3.0)],
+                  {1: ([1, 1, 0, 1], [1.0, 2.0, 1.0, 3.0])}):
+        with pytest.raises(InvalidInstanceError) as err:
+            ProblemInstance(1, 1, 0.1, edges)
+        assert str(err.value) == (
+            "invalid instance: duplicate edge (1, 1); edge (0, 1): ad index "
+            "out of range; duplicate edge (1, 1)")

@@ -340,3 +340,56 @@ def test_row_form_outpaces_the_tuple_oracle():
     config = GeneratorConfig("symmetric", n=100, m=1000)
     assert 2 * best_of_3(lambda: generate(config)) \
         < best_of_3(lambda: _oracle_generate(config))
+
+
+def test_session_youtube_at_m_0_builds_an_instance_with_no_slots():
+    inst = generate(GeneratorConfig("session_youtube", m=0))
+    assert (inst.num_ads, inst.num_slots, inst.edges) == (120, 0, ())
+    inst = generate(GeneratorConfig("session_youtube", m=0,
+                                    params={"num_categories": 0}))
+    assert (inst.num_ads, inst.num_slots, inst.edges) == (0, 0, ())
+
+
+@pytest.mark.parametrize("params, name", [
+    ({"item_categories": [0, 1, 5]}, "item_categories"),     # out of range
+    ({"item_categories": [0, -1, 1]}, "item_categories"),
+    ({"item_categories": [0, 1]}, "item_categories"),        # not m of them
+    ({"item_categories": [0, 1, 1, 0]}, "item_categories"),
+    ({"item_categories": [0, 1.5, 1]}, "item_categories"),   # no integer
+    ({"item_categories": [[0], [1], [1]]}, "item_categories"),
+    ({"num_categories": 0}, "num_categories"),
+    ({"num_categories": 0, "category_stats": []}, "num_categories"),
+])
+def test_session_youtube_refuses_categories_it_cannot_build_from(params, name):
+    params = {"num_categories": 2, **params}
+    with pytest.raises(ValueError, match=name):
+        generate(GeneratorConfig("session_youtube", m=3, params=params))
+
+
+def test_session_youtube_takes_integral_item_categories_of_any_type():
+    def edges(items):
+        return generate(GeneratorConfig("session_youtube", m=3, params={
+            "num_categories": 2, "item_categories": items})).edges
+
+    assert edges([0.0, 1.0, True]) == edges(np.array([0, 1, 1])) \
+        == edges([0, 1, 1])
+
+
+def test_session_blocks_refuses_more_slots_per_block_than_slots():
+    for m, params in ((5, {}), (0, {}), (3, {"blocks": 1,
+                                              "slots_per_block": 4})):
+        with pytest.raises(ValueError, match="^slots_per_block .*m = %d" % m):
+            generate(GeneratorConfig("session_blocks", m=m, params=params))
+    inst = generate(GeneratorConfig("session_blocks", m=3, params={
+        "blocks": 2, "categories": 2, "slots_per_block": 3}))
+    assert len(inst.edges) == 2 * 2 * 3
+    assert generate(GeneratorConfig("session_blocks", m=0, params={
+        "blocks": 0})).num_slots == 0
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (4, 2), (2,)])
+def test_session_blocks_refuses_a_reward_table_of_the_wrong_shape(shape):
+    params = {"blocks": 1, "categories": 2, "slots_per_block": 2,
+              "reward_table": np.ones(shape)}
+    with pytest.raises(ValueError, match="^reward_table must have shape"):
+        generate(GeneratorConfig("session_blocks", m=4, params=params))

@@ -141,3 +141,11 @@ def test_simulation_session_count_is_an_integer_by_the_index_rule():
     assert (a.mean, a.stderr, a.sessions) == (b.mean, b.stderr, 1000)
     assert type(a.sessions) is int
     assert simulate_sessions(inst, alloc, np.int64(10), seed=2).sessions == 10
+
+
+def test_a_single_session_has_an_infinite_stderr():
+    inst = _inst(2, 3, 0.2, [(1, 1, 1.0), (2, 3, 2.0)])
+    alloc = Allocation(entries=((1, 1), (3, 2)))
+    sim = simulate_sessions(inst, alloc, 1, seed=2)
+    assert (sim.stderr, sim.sessions) == (math.inf, 1)
+    assert sim.mean in (0.0, 1.0, 3.0)
