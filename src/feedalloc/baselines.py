@@ -70,14 +70,11 @@ def global_greedy(inst, max_assignments=None):
     # positions in descending order, so equal rewards keep i descending
     rows = {}             # slot -> (ads, rewards, order)
     heap = []
-    for j in range(1, inst.num_slots + 1):
-        ads, rewards = inst.row(j)
-        if ads:
-            order = sorted(range(len(ads) - 1, -1, -1),
-                           key=rewards.__getitem__)
-            rows[j] = ads, rewards, order
-            # initial gain on the empty allocation: r * (1-q)^j
-            heap.append((-(rewards[order[-1]] * powers[j]), j))
+    for j, (ads, rewards) in inst.rows():
+        order = sorted(range(len(ads) - 1, -1, -1), key=rewards.__getitem__)
+        rows[j] = ads, rewards, order
+        # initial gain on the empty allocation: r * (1-q)^j
+        heap.append((-(rewards[order[-1]] * powers[j]), j))
     heapq.heapify(heap)
     # slot-ascending entries, closed by a zero reward at slot m + 1
     slots, entry_rewards, fs = [inst.num_slots + 1], [0.0], [0.0]
@@ -123,17 +120,17 @@ def global_greedy(inst, max_assignments=None):
 
 
 def _scan_slots(inst, threshold, max_assignments):
-    """Process slots 1..m in order; at each, the unused ad with the largest
-    reward (lowest index among ties) is committed iff that reward exceeds
-    ``threshold``.  Returns the (slot, ad) entries."""
+    """Process the slots that have edges in increasing order; at each, the
+    unused ad with the largest reward (lowest index among ties) is committed
+    iff that reward exceeds ``threshold``.  Returns the (slot, ad) entries."""
     limit = math.inf if max_assignments is None else max_assignments
     entries = []
     used = set()
-    for j in range(1, inst.num_slots + 1):
+    for j, row in inst.rows():
         if len(entries) >= limit:
             break
         best_i, best_r = None, -math.inf
-        for i, r in zip(*inst.row(j)):
+        for i, r in zip(*row):
             if r > best_r and i not in used:
                 best_i, best_r = i, r
         if best_i is not None and best_r > threshold:
@@ -170,13 +167,16 @@ def online_threshold(inst, threshold="auto", max_assignments=None):
 def _static_weights(inst):
     """Position-biased static weights w_ij = r_ij * (1-q)^j, as an (|E|, 3)
     array of (ad, slot, weight) rows in the rows' own increasing (slot, ad)
-    order, in which the matcher skips its parallel-edge step."""
-    slots = [j for j in range(1, inst.num_slots + 1) if inst.row(j)[0]]
-    ads, rewards = zip(*map(inst.row, slots)) if slots else ((), ())
+    order, in which the matcher skips its parallel-edge step.  Each occupied
+    slot's power is Python's ``float ** int``; NumPy's differs in the last bit."""
+    s = 1.0 - inst.quit_prob
+    slots, rows = zip(*inst.rows()) if inst.rows() else ((), ())
+    ads, rewards = zip(*rows) if rows else ((), ())
+    counts = [len(a) for a in ads]
     ad = np.fromiter(chain.from_iterable(ads), np.float64)
-    slot = np.repeat(np.array(slots, dtype=np.intp), [len(a) for a in ads])
-    powers = np.array(discount_powers(inst.quit_prob, inst.num_slots + 1))
-    weight = np.frombuffer(b"".join(rewards)) * powers[slot]
+    slot = np.repeat(np.array(slots, dtype=np.intp), counts)
+    powers = np.repeat([s ** j for j in slots], counts)
+    weight = np.frombuffer(b"".join(rewards)) * powers
     return np.column_stack((ad, slot, weight))
 
 

@@ -250,7 +250,7 @@ def cmd_gen(args):
         config.params["C"] = args.C
     inst = _generate(config)
     core.write_instance(inst, args.out)
-    edges = sum(len(inst.row(j)[0]) for j in range(1, inst.num_slots + 1))
+    edges = sum(len(ads) for _j, (ads, _rewards) in inst.rows())
     print("wrote %s: n=%d m=%d q=%s |E|=%d" % (args.out, inst.num_ads,
                                                inst.num_slots,
                                                _num(inst.quit_prob), edges))

@@ -13,7 +13,8 @@ where B(j) is the number of occupied slots strictly before j: the user must
 survive j item-views plus B(j) ad-views to reach the ad at slot j.
 
 ``ProblemInstance`` keeps one dict of per-slot rows ``{slot: (ads,
-rewards)}`` (``row``): ads ascending, and their rewards as doubles.  It
+rewards)}`` in slot order: ads ascending, and their rewards as doubles.
+``row`` reads one slot; ``rows`` walks the slots with edges, in O(|E|).  It
 takes triples, filing each checked one by slot and ad, so a repeated pair is
 named where it is met, or rows, copied when valid as given and else checked
 as their triples; it keeps nothing it was passed.  ``edges`` rebuilds the
@@ -120,7 +121,7 @@ class ProblemInstance:
         if isinstance(edges, dict):    # rows {slot: (ads, rewards)}
             rows, edges = _rows_as_given(edges, n, m), _triples(edges)
             if rows is not None and not problems:
-                self._rows = rows
+                self._rows = {j: rows[j] for j in sorted(rows)}
                 return
         rows = defaultdict(dict)    # slot -> {ad: reward}
         try:
@@ -161,7 +162,7 @@ class ProblemInstance:
             ads = sorted(row)
             # contiguous doubles: a row scan reads no scattered float objects
             rows[j] = ads, array("d", map(row.__getitem__, ads))
-        self._rows = dict(rows)
+        self._rows = {j: rows[j] for j in sorted(rows)}
 
     def reward(self, ad, slot):
         """r_{ad, slot}; raises ``KeyError`` if there is no such edge."""
@@ -175,6 +176,11 @@ class ProblemInstance:
         """(ads, rewards) of ``slot``: its ads in increasing index and their
         rewards as an ``array('d')``; ``((), ())`` if none.  Read-only."""
         return self._rows.get(slot, ((), ()))
+
+    def rows(self):
+        """The ``(slot, (ads, rewards))`` pairs of the slots that have
+        edges, in increasing slot order, each as ``row(slot)`` gives it."""
+        return self._rows.items()
 
     @property
     def edges(self):
@@ -379,15 +385,10 @@ def decompose(inst, alloc, j):
 # Allocation: "j i" per entry.  Reals use 17 significant digits, which
 # round-trips float64 exactly.
 
-def _fmt(x):
-    return "%.17g" % x
-
-
 def write_instance(inst, path):
     with open(path, "w") as fh:
-        fh.write("%d %d %s\n" % (inst.num_ads, inst.num_slots, _fmt(inst.quit_prob)))
-        for i, j, r in inst.edges:
-            fh.write("%d %d %s\n" % (i, j, _fmt(r)))
+        fh.write("%d %d %.17g\n" % (inst.num_ads, inst.num_slots, inst.quit_prob))
+        fh.writelines("%d %d %.17g\n" % edge for edge in inst.edges)
 
 
 class FormatError(ValueError):
@@ -396,9 +397,8 @@ class FormatError(ValueError):
 
 
 def _read_records(path, types):
-    """One tuple per non-blank line of ``path``, with field k converted by
-    ``types[k]``."""
-    records = []
+    """Yield one tuple per non-blank line of ``path``, with field k
+    converted by ``types[k]``."""
     # an undecodable byte fails its field's conversion, on its own line
     with open(path, errors="surrogateescape") as fh:
         for lineno, ln in enumerate(fh, 1):
@@ -409,20 +409,21 @@ def _read_records(path, types):
                 raise FormatError("%s:%d: expected %d fields, got %d"
                                   % (path, lineno, len(types), len(fields)))
             try:
-                records.append(tuple(t(x) for t, x in zip(types, fields)))
+                record = tuple(t(x) for t, x in zip(types, fields))
             except ValueError as exc:
                 raise FormatError("%s:%d: %s" % (path, lineno, exc)) from None
-    return records
+            yield record
 
 
 def read_instance(path):
     records = _read_records(path, (int, int, float))
-    if not records:
+    header = next(records, None)
+    if header is None:
         raise FormatError("%s:1: empty instance file" % path)
-    n, m, q = records[0]
-    try:
+    n, m, q = header
+    try:    # the edge loop reads every record: a malformed line still raises
         return ProblemInstance(num_ads=n, num_slots=m, quit_prob=q,
-                               edges=records[1:])
+                               edges=records)
     except InvalidInstanceError as exc:
         raise InvalidInstanceError("%s: %s" % (path, exc)) from None
 

@@ -82,20 +82,17 @@ def brute_force_mapping(inst):
         raise OracleGuardError("brute-force mapping limited to m <= %d slots, "
                                "got %d" % (MAX_BF_SLOTS, inst.num_slots))
     best_edge = {}  # slot -> (reward, ad); ties keep the lowest ad index
-    for j in range(1, inst.num_slots + 1):
-        ads, rewards = inst.row(j)
-        if ads:
-            r = max(rewards)
-            best_edge[j] = (r, ads[rewards.index(r)])
-    slots = sorted(best_edge)
+    for j, (ads, rewards) in inst.rows():
+        r = max(rewards)
+        best_edge[j] = (r, ads[rewards.index(r)])
     best_value, best_mask = 0.0, 0
-    for mask in range(1 << len(slots)):
-        pairs = [(j, best_edge[j][0]) for idx, j in enumerate(slots)
+    for mask in range(1 << len(best_edge)):    # slots ascend in best_edge
+        pairs = [(j, best_edge[j][0]) for idx, j in enumerate(best_edge)
                  if mask >> idx & 1]
         value = suffix_value(pairs, inst.quit_prob)
         if value > best_value:
             best_value, best_mask = value, mask
-    entries = [(j, best_edge[j][1]) for idx, j in enumerate(slots)
+    entries = [(j, best_edge[j][1]) for idx, j in enumerate(best_edge)
                if best_mask >> idx & 1]
     return Allocation(entries=tuple(entries), mode=Mode.MAPPING), best_value
 

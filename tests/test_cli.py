@@ -6,6 +6,8 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -163,6 +165,28 @@ def test_solve_and_bench_apply_k_alike(tmp_path, capsys):
         assert cli._num(report["reward"]) == bench[name]["reward"], name
         assert report["size"] == int(bench[name]["size"])
         assert report["size"] <= 3, name
+
+
+def test_row_walking_solvers_take_two_edges_under_a_billion_slots(tmp_path):
+    # forward, online, mwm and flow walk only the slots that have edges: a
+    # scan or a power table over slots 1..m would take minutes here.  Slot
+    # 999 999 999's term underflows to 0.
+    path = tmp_path / "huge.txt"
+    path.write_text("2 1000000000 0.1\n1 5 3.0\n2 999999999 7.0\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\nfrom feedalloc import cli\n"
+            "for name in ('forward', 'online', 'mwm', 'flow'):\n"
+            "    assert cli.main(['solve', sys.argv[1], name, '--json']) == 0\n")
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=30).stdout
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["algorithm"] for r in reports] == ["forward", "online", "mwm",
+                                                 "flow"]
+    assert all(r["reward"] == 3 * 0.9 ** 5 for r in reports)
 
 
 def test_solve_invalid_instance_exits_2(tmp_path, capsys):

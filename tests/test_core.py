@@ -23,7 +23,7 @@ from feedalloc.core import (Allocation, FormatError, InvalidAllocationError,
                             read_allocation, read_instance, suffix_reward,
                             suffix_value, suffix_vector, validate_allocation,
                             write_allocation, write_instance)
-from feedalloc.generators import gen_symmetric
+from feedalloc.generators import GeneratorConfig, gen_symmetric, generate
 from listed_instance import ListedInstance
 from suffix_tree import SuffixTree
 
@@ -291,6 +291,15 @@ def test_read_instance_rejects_empty_file(tmp_path):
         read_instance(path)
 
 
+def test_a_malformed_line_after_an_invalid_edge_names_its_line(tmp_path):
+    # the edges stream into the edge loop, which reads on past ad 5
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2 0.1\n5 1 1.0\n1 x 1.0\n")
+    with pytest.raises(FormatError) as err:
+        read_instance(path)
+    assert str(err.value).startswith("%s:3: " % path)
+
+
 def test_candidates_are_sorted():
     inst = _inst(3, 3, 0.1, [(3, 1, 2.0), (1, 1, 1.0), (1, 3, 1.0)])
     ads, rewards = inst.row(1)
@@ -309,6 +318,32 @@ def test_edges_come_from_the_rows_in_ad_slot_order():
     for inst in built:
         assert inst.edges == tuple(edges)
         assert all(inst.row(j) == built[0].row(j) for j in range(8))
+
+
+def test_rows_walk_the_occupied_slots_in_increasing_order():
+    edges = [(i, j, float(i * 10 + j)) for i in range(1, 5)
+             for j in range(1, 9) if (i + j) % 3 and j != 5]
+    shuffled = list(edges)
+    make_rng(11).shuffle(shuffled)
+    rows = {}
+    for i, j, r in sorted(edges, key=lambda e: (e[1], e[0])):
+        rows.setdefault(j, ([], []))
+        rows[j][0].append(i)
+        rows[j][1].append(r)
+    backwards = dict(reversed(list(rows.items())))    # valid as given
+    unsorted = {j: (ads[::-1], rewards[::-1])         # through the edge loop
+                for j, (ads, rewards) in backwards.items()}
+    built = [ProblemInstance(4, 9, 0.2, tuple(shuffled)),
+             ProblemInstance(4, 9, 0.2, backwards),
+             ProblemInstance(4, 9, 0.2, unsorted),
+             generate(GeneratorConfig("session_blocks"))]
+    for inst in built:
+        slots = [j for j, _row in inst.rows()]
+        assert slots == [j for j in range(1, inst.num_slots + 1)
+                         if inst.row(j)[0]]
+        assert all(row == inst.row(j) for j, row in inst.rows())
+    assert [j for j, _row in built[0].rows()] == [1, 2, 3, 4, 6, 7, 8]
+    assert len(built[3].rows()) < built[3].num_slots    # empty slots
 
 
 def test_a_built_instance_keeps_only_its_rows():
