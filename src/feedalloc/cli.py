@@ -367,15 +367,19 @@ def cmd_bench(args):
 def cmd_verify(args):
     inst = core.read_instance(args.instance)
     alloc = core.read_allocation(args.allocation, mode=Mode(args.mode))
-    reward = core.expected_reward(inst, alloc)
-    direct = core.suffix_vector(core.checked_pairs(inst, alloc),
-                                inst.quit_prob, inst.num_slots)
-    taus = [0.0] + [t.tau for t in core.decompose(inst, alloc, 0)]
-    # residual of the backward decomposition against every f_j, from j = m
-    residual = recon = 0.0
-    for f, tau in zip(direct[::-1], taus[::-1]):
+    pairs, q = core.checked_pairs(inst, alloc), inst.quit_prob
+    reward = core.suffix_value(pairs, q)
+    # residual of the backward decomposition against f_j at each entry and
+    # at slot 0, a zero-reward entry: over a gap of d empty slots both sides
+    # take one factor (1-q)^d, so the pass is O(|M|) however large m is
+    points = [(0, 0.0), *pairs]
+    suffixes = core.entry_suffixes(points, q)
+    residual = recon = tau = 0.0
+    after = points[-1][0]
+    for (slot, r), f in zip(reversed(points), reversed(suffixes)):
+        recon = (1.0 - q) ** (after - slot) * (recon + tau)
         residual = max(residual, abs(f - recon) / max(1.0, abs(f)))
-        recon = (1.0 - inst.quit_prob) * (recon + tau)
+        after, tau = slot, r - q * f
     print("reward=%s size=%d decomposition_residual=%s"
           % (_num(reward), len(alloc), "%.3g" % residual))
     if args.simulate > 0:

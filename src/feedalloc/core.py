@@ -18,7 +18,8 @@ rewards)}`` in slot order: ads ascending, and their rewards as doubles.
 takes triples, filing each checked one by slot and ad, so a repeated pair is
 named where it is met, or rows, copied when valid as given and else checked
 as their triples; it keeps nothing it was passed.  ``edges`` rebuilds the
-triples in (ad, slot) order, O(|E| log |E|), for I/O and oracles only.
+triples in (ad, slot) order, O(|E| log |E|), for ``write_instance`` and
+outside readers only.
 Sizes stay below 2**53, so float64 index columns are exact.  Every index,
 of an edge, an allocation entry or a suffix, must equal its ``int()``.
 ``checked_pairs`` is the one place an allocation is checked and its rewards
@@ -27,11 +28,12 @@ read.  Two evaluators compute f and its suffix values f_j(M), one job each:
 - ``suffix_value``: the direct fold.  It is the reference behind
   ``expected_reward``, ``suffix_reward`` and the brute-force oracles.
 - ``entry_suffixes``: f_j(M) at every occupied slot in one backward pass,
-  for ``prune_to_k``, ``suffix_vector``, ``decompose`` and
-  ``feedalloc verify``.  The greedy solvers cache these values per entry
-  and re-run the recursion only below an entry that changed: the
-  backward sweeps at once, in O(1) per candidate, and ``global_greedy``,
-  which commits slots in no fixed order, when it next reads below one.
+  for ``prune_to_k``, ``decompose`` and ``feedalloc verify``, which checks
+  the decomposition at the entries and slot 0 only, in O(|M|).  The greedy
+  solvers cache these values per entry and re-run the recursion only below
+  an entry that changed: the backward sweeps at once, in O(1) per
+  candidate, and ``global_greedy``, which commits slots in no fixed order,
+  when it next reads below one.
 """
 
 from __future__ import annotations
@@ -342,22 +344,6 @@ def entry_suffixes(pairs, q):
     for p in range(len(pairs) - 2, -1, -1):
         next_slot, next_r = pairs[p + 1]
         out[p] = s ** (next_slot - pairs[p][0]) * (next_r + s * out[p + 1])
-    return out
-
-
-def suffix_vector(pairs, q, m):
-    """All suffix values [f_0, ..., f_m] of slot-sorted (slot, reward)
-    pairs: with p the first entry after j,
-    f_j = (1-q)^(slot_p - j) * (r_p + (1-q) * f_{slot_p}), and 0 past the
-    last entry."""
-    s = 1.0 - q
-    out = [0.0] * (m + 1)
-    j = 0
-    for (slot, r), f in zip(pairs, entry_suffixes(pairs, q)):
-        head = r + s * f
-        while j < slot:
-            out[j] = s ** (slot - j) * head
-            j += 1
     return out
 
 

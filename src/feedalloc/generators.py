@@ -8,10 +8,10 @@ category x time-bucket reward table).  Real data files are never read; the
 statistics default to documented synthetic values.
 
 All generators are pure functions of their arguments; the PRNG is NumPy's
-default_rng with an explicit seed.  Every generator builds rows
-``{slot: (ads, rewards)}``, with no tuple per edge, and checks the sizes it
-builds from: a size no instance of its scheme can have is a ValueError
-naming the parameter.
+default_rng with an explicit seed.  Every generator but the adversarial
+one, whose rows hold one edge each, builds rows ``{slot: (ads, rewards)}``,
+with no tuple per edge.  Each checks the sizes it builds from: a size no
+instance of its scheme can have is a ValueError naming the parameter.
 """
 
 from __future__ import annotations
@@ -89,8 +89,9 @@ def gen_adversarial(m=None, C=None, q=0.5):
     C = 2.0 ** (2 * m - 1) if C is None else C
     if m < 2 or C <= 0:
         raise ValueError("need m >= 2 and C > 0")
-    return ProblemInstance(m, m, q, {j: ([j], [1.0 if j < m else float(C)])
-                                     for j in range(1, m + 1)})
+    # one edge a row: the edge loop files it faster than a row is checked
+    return ProblemInstance(m, m, q, [(j, j, 1.0 if j < m else float(C))
+                                     for j in range(1, m + 1)])
 
 
 def _browse_permutation(categories, p_same, rng):

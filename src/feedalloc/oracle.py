@@ -34,16 +34,19 @@ def brute_force_matching(inst):
 
     Guard: |E| <= 24 and min(n, m) <= 8.  Enumeration branches over the
     smaller side (one edge or none per ad, resp. per slot)."""
-    edges = inst.edges
-    if len(edges) > MAX_BF_EDGES or min(inst.num_ads, inst.num_slots) > MAX_BF_SIDE:
+    size = sum(len(ads) for _j, (ads, _r) in inst.rows())
+    if size > MAX_BF_EDGES or min(inst.num_ads, inst.num_slots) > MAX_BF_SIDE:
         raise OracleGuardError(
             "instance too large for brute force: |E|=%d, min(n,m)=%d "
-            "(limits: %d, %d)" % (len(edges), min(inst.num_ads, inst.num_slots),
+            "(limits: %d, %d)" % (size, min(inst.num_ads, inst.num_slots),
                                   MAX_BF_EDGES, MAX_BF_SIDE))
     by_ad = inst.num_ads <= inst.num_slots
+    # each group ascends in its other index, which fixes the enumeration
+    # order and so which of tied optima is returned
     groups = {}
-    for i, j, r in edges:
-        groups.setdefault(i if by_ad else j, []).append((i, j, r))
+    for j, (ads, rewards) in inst.rows():
+        for i, r in zip(ads, rewards):
+            groups.setdefault(i if by_ad else j, []).append((i, j, r))
     keys = sorted(groups)
 
     best = [(), 0.0]

@@ -5,7 +5,7 @@ import random
 
 from hypothesis import strategies as st
 
-from feedalloc.core import Allocation, Mode, ProblemInstance, suffix_vector
+from feedalloc.core import Allocation, Mode, ProblemInstance, suffix_value
 
 
 def sparse_instance(rng, n_max=5, m_max=6, q_choices=(0.0, 0.1, 0.3, 0.6),
@@ -64,11 +64,14 @@ def replay_trace(logs, initial=()):
 
 def replay_suffixes(inst, logs, initial=()):
     """The suffix vectors (f_0(M), ..., f_m(M)) before and after each record
-    of a trace, as (before, after) pairs, from ``replay_trace``."""
+    of a trace, as (before, after) pairs, from ``replay_trace``; each f_j
+    is the direct fold ``suffix_value`` at base j."""
     q, m = inst.quit_prob, inst.num_slots
-    vectors = [tuple(suffix_vector([(j, inst.reward(i, j)) for j, i in state],
-                                   q, m))
-               for state in replay_trace(logs, initial)]
+    vectors = []
+    for state in replay_trace(logs, initial):
+        pairs = [(j, inst.reward(i, j)) for j, i in state]
+        vectors.append(tuple(suffix_value(pairs, q, base)
+                             for base in range(m + 1)))
     return list(zip(vectors, vectors[1:]))
 
 

@@ -168,25 +168,33 @@ def test_solve_and_bench_apply_k_alike(tmp_path, capsys):
 
 
 def test_row_walking_solvers_take_two_edges_under_a_billion_slots(tmp_path):
-    # forward, online, mwm and flow walk only the slots that have edges: a
-    # scan or a power table over slots 1..m would take minutes here.  Slot
-    # 999 999 999's term underflows to 0.
+    # forward, online, mwm and flow walk only the slots that have edges, and
+    # verify only the entries: a scan or a power table over slots 1..m would
+    # take minutes here.  Slot 999 999 999's term underflows to 0.
     path = tmp_path / "huge.txt"
     path.write_text("2 1000000000 0.1\n1 5 3.0\n2 999999999 7.0\n")
+    alloc_path = tmp_path / "forward.txt"
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys\nfrom feedalloc import cli\n"
             "for name in ('forward', 'online', 'mwm', 'flow'):\n"
-            "    assert cli.main(['solve', sys.argv[1], name, '--json']) == 0\n")
-    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
-                         check=True, capture_output=True, text=True,
-                         timeout=30).stdout
-    reports = [json.loads(line) for line in out.splitlines()]
+            "    assert cli.main(['solve', sys.argv[1], name, '--json']) == 0\n"
+            "assert cli.main(['solve', sys.argv[1], 'forward',\n"
+            "                 '--out-allocation', sys.argv[2]]) == 0\n"
+            "assert cli.main(['verify', sys.argv[1], sys.argv[2]]) == 0\n")
+    out = subprocess.run([sys.executable, "-c", code, str(path),
+                          str(alloc_path)], env=env, check=True,
+                         capture_output=True, text=True, timeout=30).stdout
+    lines = out.splitlines()
+    reports = [json.loads(line) for line in lines[:4]]
     assert [r["algorithm"] for r in reports] == ["forward", "online", "mwm",
                                                  "flow"]
     assert all(r["reward"] == 3 * 0.9 ** 5 for r in reports)
+    fields = dict(f.split("=") for f in lines[-1].split())
+    assert fields["reward"] == cli._num(3 * 0.9 ** 5)
+    assert float(fields["decomposition_residual"]) <= 1e-9
 
 
 def test_solve_invalid_instance_exits_2(tmp_path, capsys):
@@ -308,6 +316,24 @@ def test_verify_rejects_invalid_allocation(tmp_path, capsys):
     assert cli.main(["verify", path, str(alloc_path)]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(
         "error: invalid allocation: entry (slot 1, ad 2)")
+
+
+def test_verify_residual_reads_a_wrong_suffix(tmp_path, capsys, monkeypatch):
+    # a verify that always printed 0 would pass every upper bound above
+    _inst, path = _write_inst(tmp_path)
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("1 1\n2 2\n4 3\n")
+    entry_suffixes = core.entry_suffixes
+
+    def skewed(pairs, q):
+        suffixes = entry_suffixes(pairs, q)
+        suffixes[-1] += 1e-3    # the last entry's f is 0
+        return suffixes
+
+    monkeypatch.setattr(core, "entry_suffixes", skewed)
+    assert cli.main(["verify", path, str(alloc_path)]) == cli.EXIT_OK
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    assert float(fields["decomposition_residual"]) >= 1e-4
 
 
 def per_slot_residual(inst, alloc):

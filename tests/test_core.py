@@ -21,7 +21,7 @@ from feedalloc.core import (Allocation, FormatError, InvalidAllocationError,
                             InvalidInstanceError, Mode, ProblemInstance,
                             decompose, entry_suffixes, expected_reward,
                             read_allocation, read_instance, suffix_reward,
-                            suffix_value, suffix_vector, validate_allocation,
+                            suffix_value, validate_allocation,
                             write_allocation, write_instance)
 from feedalloc.generators import GeneratorConfig, gen_symmetric, generate
 from listed_instance import ListedInstance
@@ -60,18 +60,6 @@ def test_suffix_reward_boundary_values():
         assert suffix_reward(inst, alloc, 0) == pytest.approx(
             expected_reward(inst, alloc))
         assert suffix_reward(inst, alloc, inst.num_slots) == 0.0
-
-
-def test_suffix_vector_matches_direct_evaluation():
-    rng = make_rng(12)
-    for _ in range(100):
-        inst = sparse_instance(rng)
-        alloc = random_matching(inst, rng)
-        pairs = [(j, inst.reward(i, j)) for j, i in alloc.entries]
-        vec = suffix_vector(pairs, inst.quit_prob, inst.num_slots)
-        for j in range(inst.num_slots + 1):
-            direct = suffix_value(pairs, inst.quit_prob, base=j)
-            assert vec[j] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_decompose_reconstructs_every_suffix():
@@ -703,9 +691,6 @@ def test_suffix_tree_matches_direct_fold(run):
         assert close_to_fold(value, pairs, base)
         for (slot, _r), f in zip(pairs, entry_suffixes(pairs, q)):
             assert close_to_fold(f, pairs, slot)
-        if m <= 40:
-            for j, f in enumerate(suffix_vector(pairs, q, m)):
-                assert close_to_fold(f, pairs, j)
 
     check(bases[0])
     for (slot, reward), base in zip(toggles, bases[1:]):
