@@ -25,15 +25,15 @@ of an edge, an allocation entry or a suffix, must equal its ``int()``.
 ``checked_pairs`` is the one place an allocation is checked and its rewards
 read.  Two evaluators compute f and its suffix values f_j(M), one job each:
 
-- ``suffix_value``: the direct fold.  It is the reference behind
-  ``expected_reward``, ``suffix_reward`` and the brute-force oracles.
-- ``entry_suffixes``: f_j(M) at every occupied slot in one backward pass,
-  for ``prune_to_k``, ``decompose`` and ``feedalloc verify``, which checks
-  the decomposition at the entries and slot 0 only, in O(|M|).  The greedy
-  solvers cache these values per entry and re-run the recursion only below
-  an entry that changed: the backward sweeps at once, in O(1) per
-  candidate, and ``global_greedy``, which commits slots in no fixed order,
-  when it next reads below one.
+- ``suffix_value``: the direct fold, the reference behind ``expected_reward``,
+  ``suffix_reward`` (given the entries after j) and the brute-force oracles.
+- ``entry_suffixes``: f_j(M) at every occupied slot in one backward pass, for
+  ``prune_to_k``, ``feedalloc verify``, which checks the decomposition at the
+  entries and slot 0 only, in O(|M|), and ``decompose``, over the entries
+  after j: O(log |M| + m - j).  The greedy solvers cache these values per
+  entry and re-run the recursion only below an entry that changed: the
+  backward sweeps at once, in O(1) per candidate, and ``global_greedy``,
+  which commits slots in no fixed order, when it next reads below one.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import zip_longest
-from operator import lt
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -228,7 +228,7 @@ class Allocation:
         return [i for _, i in self.entries]
 
 
-@dataclass
+@dataclass(slots=True)
 class DecompositionTerm:
     """One slot's term in the backward decomposition of a suffix reward."""
 
@@ -320,7 +320,9 @@ def suffix_reward(inst, alloc, j):
     """f_j(M): expected reward counting only slots after j, with attention
     restarted at slot j.  f_0 equals the full objective; f_m is 0."""
     pairs = checked_pairs(inst, alloc)
-    return suffix_value(pairs, inst.quit_prob, base=_suffix_index(inst, j))
+    j = _suffix_index(inst, j)
+    tail = pairs[bisect_right(pairs, j, key=itemgetter(0)):]
+    return suffix_value(tail, inst.quit_prob, base=j)
 
 
 def _suffix_index(inst, j):
@@ -353,17 +355,20 @@ def decompose(inst, alloc, j):
         R_j = sum_{j' > j} (1-q)^(j'-j) * [slot j' occupied] * (r_{e_j'} - q R_{j'})
 
     The R_{j'} values come from ``entry_suffixes``, so summing the returned
-    terms gives an independent reconstruction of suffix_reward.
+    terms gives an independent reconstruction of suffix_reward.  The recursion
+    runs over the entries after j only: O(log |M| + (m - j) + entries after j).
     """
     pairs = checked_pairs(inst, alloc)
     j = _suffix_index(inst, j)
     q = inst.quit_prob
     s = 1.0 - q
-    taus = {slot: r - q * f
-            for (slot, r), f in zip(pairs, entry_suffixes(pairs, q))}
-    return [DecompositionTerm(slot=jp, occupied=jp in taus,
-                              tau=taus.get(jp, 0.0), discount=s ** (jp - j))
-            for jp in range(j + 1, inst.num_slots + 1)]
+    tail = pairs[bisect_right(pairs, j, key=itemgetter(0)):]
+    terms = [DecompositionTerm(jp, False, 0.0, s ** (jp - j))
+             for jp in range(j + 1, inst.num_slots + 1)]
+    for (slot, r), f in zip(tail, entry_suffixes(tail, q)):
+        term = terms[slot - j - 1]
+        term.occupied, term.tau = True, r - q * f
+    return terms
 
 
 # ---------------------------------------------------------------------------

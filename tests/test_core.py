@@ -17,15 +17,17 @@ from conftest import (allocation_file_bytes, make_rng, random_matching,
                       sparse_instance)
 from feedalloc import core
 from feedalloc.cli import SOLVERS
-from feedalloc.core import (Allocation, FormatError, InvalidAllocationError,
-                            InvalidInstanceError, Mode, ProblemInstance,
-                            decompose, entry_suffixes, expected_reward,
-                            read_allocation, read_instance, suffix_reward,
-                            suffix_value, validate_allocation,
-                            write_allocation, write_instance)
+from feedalloc.core import (Allocation, DecompositionTerm, FormatError,
+                            InvalidAllocationError, InvalidInstanceError, Mode,
+                            ProblemInstance, checked_pairs, decompose,
+                            entry_suffixes, expected_reward, read_allocation,
+                            read_instance, suffix_reward, suffix_value,
+                            validate_allocation, write_allocation,
+                            write_instance)
 from feedalloc.generators import GeneratorConfig, gen_symmetric, generate
 from listed_instance import ListedInstance
 from suffix_tree import SuffixTree
+from tau_dict_decompose import tau_dict_decompose
 
 
 def _inst(n, m, q, edges):
@@ -79,6 +81,62 @@ def test_decompose_marks_occupied_slots():
     terms = decompose(inst, alloc, 0)
     assert [t.occupied for t in terms] == [True, False, True]
     assert terms[1].tau == 0.0
+
+
+def _term_bits(terms):
+    return [(t.slot, t.occupied, t.tau, t.discount) for t in terms]
+
+
+def _assert_tail_reads_match_full_pass(inst, alloc):
+    """Every j in 0..m: ``decompose`` gives the tau-dict oracle's terms and
+    ``suffix_reward`` the fold over all pairs, both exactly."""
+    pairs, q = checked_pairs(inst, alloc), inst.quit_prob
+    for j in range(inst.num_slots + 1):
+        assert (_term_bits(decompose(inst, alloc, j))
+                == _term_bits(tau_dict_decompose(inst, alloc, j)))
+        assert suffix_reward(inst, alloc, j) == suffix_value(pairs, q, j)
+    assert decompose(inst, alloc, inst.num_slots) == []
+
+
+def _random_mapping(inst, rng):
+    """A random mapping-mode allocation: some slots get one of their ads."""
+    entries = [(j, rng.choice(ads)) for j, (ads, _r) in inst.rows()
+               if rng.random() < 0.7]
+    return Allocation(entries=tuple(entries), mode=Mode.MAPPING)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.1, 0.9])
+def test_decompose_reads_the_tail_as_the_full_pass_does(q):
+    rng = make_rng(29)
+    at_last_slot = 0
+    for size in [(5, 6)] * 60 + [(8, 40)] * 20:
+        inst = sparse_instance(rng, *size, q_choices=(q,))
+        for alloc in (random_matching(inst, rng), _random_mapping(inst, rng),
+                      Allocation(entries=())):
+            _assert_tail_reads_match_full_pass(inst, alloc)
+            at_last_slot += inst.num_slots in alloc.slots()
+    assert at_last_slot >= 20
+    inst = _inst(2, 4, q, [(1, 1, 1.0), (1, 4, 2.0), (2, 2, 3.0)])
+    _assert_tail_reads_match_full_pass(
+        inst, Allocation(((1, 1), (2, 2), (4, 1)), Mode.MAPPING))
+
+
+def test_decomposition_term_keeps_its_fields_without_a_dict():
+    names = [f.name for f in dataclasses.fields(DecompositionTerm)]
+    assert names == ["slot", "occupied", "tau", "discount"]
+    term = DecompositionTerm(3, False, 0.0, 0.5)
+    term.occupied, term.tau = True, 1.5
+    assert term == DecompositionTerm(slot=3, occupied=True, tau=1.5,
+                                     discount=0.5)
+    assert repr(term) == ("DecompositionTerm(slot=3, occupied=True, tau=1.5, "
+                          "discount=0.5)")
+    assert dataclasses.replace(term, tau=2.0) == DecompositionTerm(3, True,
+                                                                   2.0, 0.5)
+    assert dataclasses.asdict(term) == {"slot": 3, "occupied": True,
+                                        "tau": 1.5, "discount": 0.5}
+    assert not hasattr(term, "__dict__")
+    with pytest.raises(AttributeError):
+        term.weight = 1.0
 
 
 def test_construction_refuses_invalid_instance():
