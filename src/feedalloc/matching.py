@@ -25,6 +25,16 @@ per ad.  After (2) every vertex has degree <= k, so the other <= k-1 pairs
 of an optimum touch at most 2k(k-1) edges; a kept edge of (3) that is free
 of them replaces any dropped edge at no loss.
 
+Prefix.  Steps (1)-(2) first run on a prefix: the edges at least as heavy
+as the t-th heaviest, t = PREFIX * (2k(k-1) + 1), found by one partition
+and kept in input order.  An edge's rank in its slot or ad counts only the
+heavier edges and its tied predecessors there, and all of them are in the
+prefix, the ties at the threshold too, so every prefix edge keeps its rank
+and (1)-(2) keep exactly the full run's survivors of weight >= the
+threshold, each heavier than any other survivor.  If at least 2k(k-1) + 1
+of them survive, (3) returns the full run's edges in the same order;
+otherwise (1)-(2) run once more, on all edges.
+
 Ties.  The total weight is optimal.  Which of several tied optima is
 returned is unspecified, but it is deterministic for a given input and
 SciPy version.
@@ -36,17 +46,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _converted
+
 DUMMY_WEIGHT = 5e-324
+PREFIX = 32     # a capped call first prunes the PREFIX * (2k(k-1)+1) heaviest
 
 
-def _keep_top(group, w, k):
-    """Mask of the k heaviest edges within each group (stable on ties)."""
-    order = np.lexsort((-w, group))
-    g = group[order]
-    rank = np.arange(len(g)) - np.searchsorted(g, g)
-    keep = np.zeros(len(g), dtype=bool)
-    keep[order[rank < k]] = True
-    return keep
+def _keep_top(e, k):
+    """Steps 1-2 of the pruning: each slot's k heaviest edges, then each
+    ad's k heaviest of those (stable on ties), in input order."""
+    for col in (1, 0):
+        order = np.lexsort((-e[:, 2], e[:, col]))
+        g = e[order, col]
+        rank = np.arange(len(g)) - np.searchsorted(g, g)
+        e = e[np.sort(order[rank < k])]
+    return e
 
 
 def _drop_parallel(e):
@@ -60,24 +74,31 @@ def _drop_parallel(e):
 
 def _solve(edges, k=None):
     e = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
-    big = np.flatnonzero((e[:, 0] >= 2.0 ** 53) | (e[:, 1] >= 2.0 ** 53))
-    if big.size:    # float64 may have rounded them onto other indices
-        raise ValueError("edge %r: ad and slot must be below 2**53"
-                         % (edges[big[0]],))
+    x = e[:, :2].T.copy()   # ads, then slots; NaN fails both tests
+    bad = np.flatnonzero(~((abs(x) < 2.0 ** 53) & (x == np.trunc(x))).all(0))
+    if bad.size:    # float64 may have rounded 2**53 + 1 onto 2**53
+        raise ValueError("edge %r: ad and slot must be below 2**53 in "
+                         "magnitude and integers" % (edges[bad[0]],))
     bad = np.flatnonzero(~(np.isfinite(e[:, 2]) & (e[:, 2] >= 0.0)))
     if bad.size:
         i, j, _w = e[bad[0]]
         raise ValueError("weight of edge (%d, %d) must be finite and >= 0"
                          % (i, j))
-    e = e[e[:, 2] > 0.0]
+    e = np.compress(e[:, 2] > 0.0, e, 0)    # faster than a mask index
     if (k is not None and k <= 0) or not len(e):
         return [], 0.0
     # the heaviest of parallel edges, then the pruning steps under a cap
     e = _drop_parallel(e)
     if k is not None:
-        e = e[_keep_top(e[:, 1], e[:, 2], k)]
-        e = e[_keep_top(e[:, 0], e[:, 2], k)]
-        e = e[np.argsort(-e[:, 2], kind="stable")[:2 * k * (k - 1) + 1]]
+        need = 2 * k * (k - 1) + 1
+        t = PREFIX * need   # steps 1-2 first on the edges >= the t-th heaviest
+        top = e
+        if t < len(e):
+            top = np.compress(e[:, 2] >= np.partition(e[:, 2], -t)[-t], e, 0)
+        p = _keep_top(top, k)
+        if len(p) < need and len(top) < len(e):
+            p = _keep_top(e, k)     # the prefix fell short: all edges
+        e = p[np.argsort(-p[:, 2], kind="stable")[:need]]
 
     ads, a = np.unique(e[:, 0].astype(np.int64), return_inverse=True)
     slots, s = np.unique(e[:, 1].astype(np.int64), return_inverse=True)
@@ -108,9 +129,12 @@ def _solve(edges, k=None):
 
 def constrained_max_weight_matching(edges, k):
     """Maximum-weight matching of at most ``k`` pairs over a sequence of
-    (ad, slot, weight) triples, ad and slot below 2**53 and weights
-    finite and >= 0.  Returns (sorted list of (ad, slot), total weight)."""
-    return _solve(edges, k)
+    (ad, slot, weight) triples, ad and slot integers below 2**53 in
+    magnitude, weights finite and >= 0, and ``k`` equal to its ``int()``.
+    Returns (sorted list of (ad, slot), total weight)."""
+    if _converted(int, k) != k:     # NaN unless k equals its int()
+        raise ValueError("cap k = %r must be an integer" % (k,))
+    return _solve(edges, int(k))
 
 
 def max_weight_matching(edges):

@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -10,8 +11,12 @@ import numpy as np
 import pytest
 
 import feedalloc
+from feedalloc import matching
+from feedalloc.baselines import _static_weights
+from feedalloc.generators import GeneratorConfig, generate
 from feedalloc.matching import (constrained_max_weight_matching,
                                 max_weight_matching)
+from full_set_pruning import full_set_constrained_matching
 
 
 def _best_matching_weight(edges, k=None):
@@ -193,3 +198,123 @@ def test_indices_of_2_53_or_more_are_refused():
     below = [(2 ** 53 - 1, 1, 1.0), (2 ** 53 - 2, 2, 1.0)]
     assert max_weight_matching(below) \
         == ([(2 ** 53 - 2, 2), (2 ** 53 - 1, 1)], 2.0)
+
+
+@pytest.mark.parametrize("edge", [(1.5, 1, 1.0), (float("nan"), 1, 1.0),
+                                  (1, float("-inf"), 1.0)])
+def test_non_integer_indices_are_refused(edge):
+    # float64 would read 1.5 as ad 1, next to a real ad 1, and cast NaN or
+    # -inf to the index -2**63
+    for solve in (max_weight_matching,
+                  lambda e: constrained_max_weight_matching(e, 1)):
+        with pytest.raises(ValueError, match=r"^edge \(%s\): ad and slot must "
+                           r"be below 2\*\*53 in magnitude and integers$"
+                           % re.escape(", ".join(map(repr, edge)))):
+            solve([(1, 1, 0.5), edge])
+
+
+def test_cap_must_equal_its_int():
+    edges = [(1, 1, 1.0), (2, 2, 2.0), (3, 3, 3.0)]
+    want = ([(2, 2), (3, 3)], 5.0)
+    assert constrained_max_weight_matching(edges, 2.0) == want
+    assert constrained_max_weight_matching(edges, np.int64(2)) == want
+    for k in (2.5, float("nan"), float("inf"), "2", None):
+        with pytest.raises(ValueError, match=r"^cap k = %s must be an integer$"
+                           % re.escape(repr(k))):
+            constrained_max_weight_matching(edges, k)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The edge count of each per-slot-then-per-ad pruning pass
+    (``matching._keep_top``) of the capped calls that follow."""
+    sizes = []
+    keep_top = matching._keep_top
+
+    def spy(e, k):
+        sizes.append(len(e))
+        return keep_top(e, k)
+
+    monkeypatch.setattr(matching, "_keep_top", spy)
+    return sizes
+
+
+def _same_as_full_set(edges, k, passes):
+    """The capped matcher returns the full-set oracle's pairs and total;
+    the edge counts its pruning passes read."""
+    del passes[:]
+    assert constrained_max_weight_matching(edges, k) \
+        == full_set_constrained_matching(edges, k)
+    return list(passes)
+
+
+def _tie_heavy(rng, n, m, p, weights=(0, 1, 2, 3)):
+    """Edges of an n x m graph, each kept with probability p, with integer
+    weights drawn from ``weights``; half the graphs come shuffled."""
+    edges = [(i, j, float(rng.choice(weights)))
+             for i in range(1, n + 1) for j in range(1, m + 1)
+             if rng.random() < p]
+    if rng.random() < 0.5:
+        rng.shuffle(edges)      # ties are broken by input order
+    return edges
+
+
+def test_prefix_pruning_equals_the_full_set_pruning(passes):
+    # large enough that the prefix is taken, and tie-heavy, so the threshold
+    # weight has many edges: the prefix keeps all of them and is enough
+    # alone, where one without the threshold's ties falls short
+    rng = random.Random(34)
+    for k in (1, 2, 3, 5):
+        t = matching.PREFIX * (2 * k * (k - 1) + 1)
+        for _ in range(6):
+            edges = _tie_heavy(rng, 70, 70, 0.7)
+            positive = sum(w > 0.0 for _, _, w in edges)
+            assert positive > t
+            sizes = _same_as_full_set(edges, k, passes)
+            assert len(sizes) == 1 and t <= sizes[0] < positive
+
+
+def test_small_prefix_takes_both_passes(passes, monkeypatch):
+    # a prefix of 2k(k-1) + 1 edges: random graphs take the prefix alone,
+    # fall back to all edges, or read all edges at once
+    monkeypatch.setattr(matching, "PREFIX", 1)
+    rng = random.Random(35)
+    kinds = set()
+    for _ in range(300):
+        edges = _tie_heavy(rng, rng.randint(1, 12), rng.randint(1, 12),
+                           rng.uniform(0.3, 1.0))
+        edges += rng.sample(edges, len(edges) // 4)     # parallel edges
+        pairs = len({(i, j) for i, j, w in edges if w > 0.0})
+        sizes = _same_as_full_set(edges, rng.randint(1, 6), passes)
+        kinds.add("empty" if not pairs else "fallback" if len(sizes) == 2
+                  else "all edges" if sizes == [pairs] else "prefix alone")
+    assert kinds == {"empty", "all edges", "prefix alone", "fallback"}
+
+
+def test_short_prefix_falls_back_to_all_edges(passes):
+    # one ad owns the heaviest edges: the prefix holds its edges only, and
+    # a solve on what it keeps would match that ad alone
+    rng = random.Random(36)
+    owner = [(i + 1, j, w) for i, j, w in _tie_heavy(rng, 10, 500, 0.5,
+                                                      (1, 2, 3))]
+    owner += [(1, j, 10.0 + j % 7) for j in range(1, 501)]
+    # equal weights per slot, as in finely_targeted: each slot keeps the
+    # same k ads, so k * k < 2k(k-1) + 1 edges survive the prefix
+    equal = [(i, j, 0.9 ** j) for j in range(1, 61) for i in range(1, 61)]
+    for edges, caps in ((owner, (2, 3)), (equal, (2, 3, 5))):
+        for k in caps:
+            positive = sum(w > 0.0 for _, _, w in edges)
+            sizes = _same_as_full_set(edges, k, passes)
+            assert len(sizes) == 2 and sizes[0] < positive == sizes[1]
+
+
+@pytest.mark.parametrize("config", [
+    GeneratorConfig(scheme, n=100, m=1000, q=0.1, seed=1)
+    for scheme in ("symmetric", "heavy_top", "heavy_bottom",
+                   "finely_targeted")] + [GeneratorConfig("session_blocks")],
+    ids=lambda config: config.scheme)
+def test_scheme_static_weights_keep_the_full_set_pruning(config, passes):
+    # flow's k(0.1) = 9 on the static weights: finely_targeted's equal
+    # rewards per slot make its prefix fall short
+    sizes = _same_as_full_set(_static_weights(generate(config)), 9, passes)
+    assert len(sizes) == (2 if config.scheme == "finely_targeted" else 1)
