@@ -9,15 +9,12 @@ mode it is a 2-approximation.  ``nonoblivious_backwards_greedy`` (matching
 only) replaces the exact gain with a cheap lower bound built from per-ad
 estimates tau_i, giving the same 2-approximation.
 
-Both keep the entries slot-descending, each with its suffix value f from
-``core.entry_suffixes``'s recursion, and every entry lies after the slot
-being processed: ``backwards_greedy`` reads f_j(M) off the lowest entry,
-``nonoblivious_backwards_greedy`` rolls it from slot to slot.  As in
-``global_greedy``, a zero reward at slot m + 1 closes the list.  A move
-re-runs the recursion below the moved entry only (``_drop``).  The exact
-gain has a closed form in f_j(M), the moved ad's list position and its
-entry's f, so both do O(1) work per candidate and cost O(|E| + m + R * |M|)
-for R re-assignments.
+Both, and ``baselines.global_greedy``, keep one entry list ``slots, ads,
+rewards, fs``: slot-descending under a zero reward at slot m + 1 (index 0),
+each entry with its f from ``core.entry_suffixes``'s recursion, which one
+loop, ``_rerun``, re-runs below an entry a sweep deletes and over the global
+greedy's stale range.  A sweep's entries all lie after the slot it
+processes: f_j(M) is read off the lowest (``_head``) or rolled.
 
 Both read the instance's per-slot rows (``ProblemInstance.row``).  Given a
 ``log`` list, each appends one ``IterationLog`` of scalars per processed
@@ -71,10 +68,7 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
     an unplaced ad and in mapping mode.  The best candidate is committed iff
     g > 0.
 
-    The entries are kept slot-descending, each with its f from the
-    ``entry_suffixes`` recursion, and every entry lies after the slot being
-    processed, under a zero reward at slot m + 1.  So f_j is read off the
-    lowest entry, and an ad at list position k has p_i + 1 = |M| + 1 - k.
+    In the module's entry list an ad at position k has p_i + 1 = |M| + 1 - k.
     A move re-runs the recursion, and the ads' positions, below the removed
     entry only.  A candidate costs O(1), and the whole sweep
     O(|E| + m + R * |M|) for R re-assignments.
@@ -98,7 +92,7 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
     q = inst.quit_prob
     s = 1.0 - q
     m = inst.num_slots
-    matching = mode is Mode.MATCHING
+    matching = Mode(mode) is Mode.MATCHING
     # exponents sigma(i) - j + p_i + 1 stay below 2m
     powers = discount_powers(q, 2 * m)
     # slot-descending entries under a zero reward at slot m + 1
@@ -147,7 +141,8 @@ def backwards_greedy(inst, mode=Mode.MATCHING, log=None, initial=None):
             commits += 1
             if best_k is not None:
                 reassigns += 1
-                _drop(slots, ads, rewards, fs, best_k, s, powers)
+                del slots[best_k], ads[best_k], rewards[best_k], fs[best_k]
+                _rerun(slots, rewards, fs, best_k, len(slots), s, powers)
                 for p in range(best_k, len(slots)):   # moved up by one
                     where[ads[p]] = p
             fs.append(_head(slots, rewards, fs, j, s, powers))
@@ -184,10 +179,9 @@ def nonoblivious_backwards_greedy(inst, log=None):
     the choice is that of scoring every candidate, and the ``scores``
     counter counts every candidate.
 
-    A re-assignment sets every tau to r - q * f from the ``entry_suffixes``
-    recursion.  The entries are kept slot-descending, each with its
-    recursion f cached, and only the entries below the removed one change
-    their f; of those above it, only the ones added since the previous
+    A re-assignment sets every tau to r - q * f from the recursion.  In the
+    module's entry list only the entries below the removed one change their
+    f; of those above it, only the ones added since the previous
     re-assignment still carry a rolled tau.  So one pass from the higher of
     these two points down refreshes every tau, with no positions to keep,
     and the cost is O(|E| + m + R * |M|) for R re-assignments.
@@ -238,7 +232,8 @@ def nonoblivious_backwards_greedy(inst, log=None):
                 reassigns += 1
                 k = slots.index(sigma[best_i])
                 lo = min(k, len(slots) - rolled)
-                _drop(slots, ads, rewards, fs, k, s, powers)
+                del slots[k], ads[k], rewards[k], fs[k]
+                _rerun(slots, rewards, fs, k, len(slots), s, powers)
                 for p in range(lo, len(slots)):
                     tau[ads[p]] = rewards[p] - q * fs[p]
             rolled = 0 if reassigned else rolled + 1
@@ -260,13 +255,11 @@ def nonoblivious_backwards_greedy(inst, log=None):
                          "reassignments": reassigns})
 
 
-def _drop(slots, ads, rewards, fs, k, s, powers):
-    """Delete entry k >= 1 of slot-descending entries and re-run
-    ``entry_suffixes``'s recursion for the entries below it; the closing
-    entry above a top entry gives it f = 0 exactly."""
-    del slots[k], ads[k], rewards[k], fs[k]
-    slot, r, f = slots[k - 1], rewards[k - 1], fs[k - 1]
-    for p in range(k, len(slots)):
+def _rerun(slots, rewards, fs, lo, hi, s, powers):
+    """Re-run ``entry_suffixes``'s recursion over entries lo..hi-1 (lo >= 1),
+    from entry lo - 1; the closing entry gives a top entry f = 0 exactly."""
+    slot, r, f = slots[lo - 1], rewards[lo - 1], fs[lo - 1]
+    for p in range(lo, hi):
         below = slots[p]
         f = fs[p] = powers[slot - below] * (r + s * f)
         slot, r = below, rewards[p]

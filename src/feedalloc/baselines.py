@@ -11,14 +11,15 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from bisect import bisect_right
+from bisect import bisect_left
 from itertools import chain
+from operator import neg
 
 import numpy as np
 
 from . import matching
-from .algorithms import backwards_greedy
-from .core import Mode, discount_powers, solve_report
+from .algorithms import _rerun, backwards_greedy
+from .core import Mode, _converted, discount_powers, size_cap, solve_report
 # unused, but perfbench/spans.py traces each solver module's expected_reward
 from .core import expected_reward  # noqa: F401
 
@@ -32,16 +33,16 @@ def global_greedy(inst, max_assignments=None):
     the new edge's own discounted reward minus the attention it takes from
     the entries after it, with B(j) the number of entries before j.
 
-    The entries are kept in a slot-ascending list, each with its f from
-    the ``entry_suffixes`` recursion, and closed by a zero reward at slot
-    m + 1.  A re-evaluation at slot j bisects the list for the first entry
-    after j: its position is B(j), and f_j is read off it.  A commit
-    inserts its entry with f = f_j and makes the entries below it stale; a
-    re-evaluation below the stale boundary re-runs the recursion down to
-    the entry it reads.  A stale f is recomputed at most once per commit
-    that made it stale, so the cost is O(|E| log |E| + pops * log |M| +
-    commits * |M|) at worst, for commits above many entries in no slot
-    order, as at small q > 0; at q = 0, g ignores f and nothing is re-run.
+    The entries are kept in the backward sweeps' slot-descending list (see
+    ``algorithms``).  At slot j the entries after j are the first p, found by
+    bisection unless j lies above them all (most pops at q > 0); f_j is read
+    off entry p - 1, and B(j) = |M| + 1 - p.  A commit inserts its entry at p
+    with f = f_j and makes the entries below it stale; a re-evaluation below
+    the stale boundary re-runs the recursion down to the entry it reads
+    (``_rerun``).  A stale f is recomputed at most once per commit that made it
+    stale, so the cost is O(|E| log |E| + pops * log |M| + commits * |M|) at
+    worst, for commits above many entries in no slot order, as at small q > 0;
+    at q = 0, g ignores f and nothing is re-run.
 
     At one slot every free ad shares the discount and f_j, so the gain is
     monotone in r_ij and only the slot's best free ad (largest r, then
@@ -62,43 +63,40 @@ def global_greedy(inst, max_assignments=None):
     t0 = time.perf_counter()
     q = inst.quit_prob
     s = 1.0 - q
-    limit = math.inf if max_assignments is None else max_assignments
+    limit = size_cap(max_assignments)
     # exponents j + B(j) stay below 2m
     powers = discount_powers(q, 2 * inst.num_slots)
     # each slot's row positions by reward, the best (largest r, then
     # smallest i) last: the row's ads ascend and the stable sort takes the
     # positions in descending order, so equal rewards keep i descending
-    rows = {}             # slot -> (ads, rewards, order)
-    heap = []
-    for j, (ads, rewards) in inst.rows():
-        order = sorted(range(len(ads) - 1, -1, -1), key=rewards.__getitem__)
-        rows[j] = ads, rewards, order
-        # initial gain on the empty allocation: r * (1-q)^j
-        heap.append((-(rewards[order[-1]] * powers[j]), j))
+    rows = {j: (ads, rewards, sorted(range(len(ads) - 1, -1, -1),
+                                     key=rewards.__getitem__))
+            for j, (ads, rewards) in inst.rows()}
+    # initial gains on the empty allocation: r * (1-q)^j
+    heap = [(-(rewards[order[-1]] * powers[j]), j)
+            for j, (_ads, rewards, order) in rows.items()]
     heapq.heapify(heap)
-    # slot-ascending entries, closed by a zero reward at slot m + 1
-    slots, entry_rewards, fs = [inst.num_slots + 1], [0.0], [0.0]
-    fresh = 0             # fs[p] is f_{slots[p]}(M) for p >= fresh
-    entries = []
+    # slot-descending entries under a zero reward at slot m + 1
+    slots, ads, rewards, fs = [inst.num_slots + 1], [None], [0.0], [0.0]
+    fresh = 1             # fs[p] is f_{slots[p]}(M) for p < fresh
     used_ads = set()
     pops = reevals = 0
-    while heap and len(entries) < limit:
+    while heap and len(slots) <= limit:
         _neg_bound, j = heapq.heappop(heap)
         pops += 1
-        ads, rewards, order = rows[j]
-        while order and ads[order[-1]] in used_ads:
+        cand_ads, cand_rewards, order = rows[j]
+        while order and cand_ads[order[-1]] in used_ads:
             order.pop()
         if not order:
             continue
-        r, i = rewards[order[-1]], ads[order[-1]]
-        p = bisect_right(slots, j)    # the first entry after j
-        if p < fresh and q:           # at q = 0 the gain ignores f_j
-            for k in range(fresh - 1, p - 1, -1):
-                fs[k] = powers[slots[k + 1] - slots[k]] \
-                    * (entry_rewards[k + 1] + s * fs[k + 1])
+        r, i = cand_rewards[order[-1]], cand_ads[order[-1]]
+        p = 1 if len(slots) == 1 or j > slots[1] else \
+            bisect_left(slots, -j, 2, key=neg)    # the entries after j
+        if p > fresh and q:           # at q = 0 the gain ignores f_j
+            _rerun(slots, rewards, fs, fresh, p, s, powers)
             fresh = p
-        fj = powers[slots[p] - j] * (entry_rewards[p] + s * fs[p])
-        g = powers[j + p] * (r - q * fj)
+        fj = powers[slots[p - 1] - j] * (rewards[p - 1] + s * fs[p - 1])
+        g = powers[j + len(slots) - p] * (r - q * fj)
         reevals += 1
         key = (-g, j)
         if heap and heap[0] < key:
@@ -108,24 +106,23 @@ def global_greedy(inst, max_assignments=None):
             continue
         if g <= 0.0:
             break
-        entries.append((j, i))
         used_ads.add(i)
         slots.insert(p, j)
-        entry_rewards.insert(p, r)
+        ads.insert(p, i)
+        rewards.insert(p, r)
         fs.insert(p, fj)
-        fresh = p         # the entries below j are stale
-    return solve_report("global", inst, entries, t0,
+        fresh = p + 1     # the entries below j are stale
+    return solve_report("global", inst, zip(slots[1:], ads[1:]), t0,
                         {"pops": pops, "gain_evals": reevals,
-                         "commits": len(entries)})
+                         "commits": len(slots) - 1})
 
 
 def _scan_slots(inst, threshold, max_assignments):
     """Process the slots that have edges in increasing order; at each, the
     unused ad with the largest reward (lowest index among ties) is committed
     iff that reward exceeds ``threshold``.  Returns the (slot, ad) entries."""
-    limit = math.inf if max_assignments is None else max_assignments
-    entries = []
-    used = set()
+    limit = size_cap(max_assignments)
+    entries, used = [], set()
     for j, row in inst.rows():
         if len(entries) >= limit:
             break
@@ -158,7 +155,11 @@ def online_threshold(inst, threshold="auto", max_assignments=None):
     """Online greedy with a pre-determined threshold: at each slot the best
     unused ad is assigned iff its reward exceeds the threshold."""
     t0 = time.perf_counter()
-    thr = auto_threshold(inst) if threshold == "auto" else float(threshold)
+    thr = auto_threshold(inst) if threshold == "auto" \
+        else _converted(float, threshold)    # NaN unless equal to its float()
+    if thr != thr:
+        raise ValueError("threshold %r is not 'auto' or a non-NaN real"
+                         % (threshold,))
     entries = _scan_slots(inst, thr, max_assignments)
     return solve_report("online", inst, entries, t0,
                    {"commits": len(entries), "threshold": thr})
@@ -200,9 +201,8 @@ def flow_baseline(inst, max_assignments=None):
     """Cardinality-constrained static-weight matching: at most k(q) ads, or
     ``max_assignments`` if fewer, via a capped matching."""
     t0 = time.perf_counter()
-    k = flow_cardinality(inst.quit_prob, inst.num_ads, inst.num_slots)
-    if max_assignments is not None:
-        k = min(k, max_assignments)
+    k = min(flow_cardinality(inst.quit_prob, inst.num_ads, inst.num_slots),
+            size_cap(max_assignments))
     if k <= 0:
         return solve_report("flow", inst, [], t0, {"cardinality_cap": k})
     pairs, _w = matching.constrained_max_weight_matching(_static_weights(inst), k)

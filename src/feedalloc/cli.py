@@ -366,7 +366,7 @@ def cmd_bench(args):
 
 def cmd_verify(args):
     inst = core.read_instance(args.instance)
-    alloc = core.read_allocation(args.allocation, mode=Mode(args.mode))
+    alloc = core.read_allocation(args.allocation, mode=args.mode)
     pairs, q = core.checked_pairs(inst, alloc), inst.quit_prob
     reward = core.suffix_value(pairs, q)
     # residual of the backward decomposition against f_j at each entry and

@@ -30,10 +30,9 @@ read.  Two evaluators compute f and its suffix values f_j(M), one job each:
 - ``entry_suffixes``: f_j(M) at every occupied slot in one backward pass, for
   ``prune_to_k``, ``feedalloc verify``, which checks the decomposition at the
   entries and slot 0 only, in O(|M|), and ``decompose``, over the entries
-  after j: O(log |M| + m - j).  The greedy solvers cache these values per
-  entry and re-run the recursion only below an entry that changed: the
-  backward sweeps at once, in O(1) per candidate, and ``global_greedy``,
-  which commits slots in no fixed order, when it next reads below one.
+  after j: O(log |M| + m - j).  The greedy solvers cache these values in
+  one entry list and re-run the recursion only below an entry that
+  changed (``algorithms._rerun``).
 """
 
 from __future__ import annotations
@@ -68,6 +67,14 @@ def _converted(kind, x):
     except (TypeError, ValueError, OverflowError):
         return math.nan
     return y if y == x else math.nan
+
+
+def size_cap(k):
+    """``k`` as an int, inf for None; by the index rule, else a ValueError."""
+    cap = math.inf if k is None else _converted(int, k)
+    if not cap >= 0:
+        raise ValueError("size cap k = %r is not None or an integer >= 0" % (k,))
+    return cap
 
 
 def _rows_as_given(rows, n, m):
@@ -197,8 +204,8 @@ class InvalidAllocationError(ValueError):
 
 @dataclass(frozen=True)
 class Allocation:
-    """A frozen slot -> ad assignment, kept as slot-sorted (slot, ad) pairs;
-    an entry whose slot or ad is not an integer raises at construction."""
+    """A frozen slot -> ad assignment, kept as slot-sorted (slot, ad) pairs
+    and ``Mode(mode)``; an entry that is no pair of integers raises."""
 
     entries: tuple
     mode: Mode = Mode.MATCHING
@@ -217,6 +224,7 @@ class Allocation:
                                              "not a pair of integers" % (entry,))
             entries.append(pair)
         object.__setattr__(self, "entries", tuple(sorted(entries)))
+        object.__setattr__(self, "mode", Mode(self.mode))
 
     def __len__(self):
         return len(self.entries)

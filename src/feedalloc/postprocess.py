@@ -9,7 +9,7 @@ commitments, through their ``max_assignments`` argument.
 
 from __future__ import annotations
 
-from .core import Allocation, checked_pairs, entry_suffixes
+from .core import Allocation, checked_pairs, entry_suffixes, size_cap
 # unused, but perfbench/spans.py traces each solver module's expected_reward
 from .core import expected_reward  # noqa: F401
 
@@ -26,8 +26,7 @@ def prune_to_k(inst, alloc, k):
     after it.  One ``entry_suffixes`` pass scores every entry, so the cost
     is O(|M|^2) over all removals.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = size_cap(k)
     q = inst.quit_prob
     s = 1.0 - q
     pairs = list(checked_pairs(inst, alloc))  # a copy: removals edit it

@@ -4,13 +4,14 @@ import bisect
 import dataclasses
 import math
 import struct
+from functools import partial
 
 import pytest
 
 from conftest import make_rng, replay_suffixes, replay_trace, sparse_instance
 from feedalloc.algorithms import (backwards_greedy, instrumented_run,
                                   nonoblivious_backwards_greedy)
-from feedalloc.baselines import flow_baseline
+from feedalloc.baselines import flow_baseline, flow_greedy
 from feedalloc.core import (Allocation, Mode, ProblemInstance, entry_suffixes,
                             expected_reward, suffix_reward, suffix_value)
 from feedalloc.generators import gen_session_blocks, gen_session_youtube
@@ -249,6 +250,78 @@ def test_matching_mode_is_half_optimal():
         for solver in (backwards_greedy, nonoblivious_backwards_greedy):
             report = solver(inst)
             assert report.expected_reward >= 0.5 * opt - 1e-9
+
+
+def _start_instance(rng):
+    """A random small instance as (n, m, q, {(ad, slot): reward})."""
+    n, m = rng.randint(2, 3), rng.randint(2, 4)
+    edges = {(i, j): round(rng.uniform(0.1, 10.0), 6)
+             for i in range(1, n + 1) for j in range(1, m + 1)
+             if rng.random() < 0.6}
+    return n, m, round(rng.uniform(0.0, 0.9), 4), edges or {(1, 1): 1.0}
+
+
+def _neighbour(rng, n, m, q, edges):
+    """One random move: rescale or redraw a reward, toggle an edge, or shift
+    q within [0, 0.95]."""
+    edges = dict(edges)
+    move = rng.random()
+    if move < 0.5:
+        e = rng.choice(sorted(edges))
+        edges[e] = round(edges[e] * math.exp(rng.gauss(0.0, 0.3))
+                         if rng.random() < 0.7 else rng.uniform(0.1, 10.0), 6)
+    elif move < 0.8:
+        e = rng.randint(1, n), rng.randint(1, m)
+        if e in edges and len(edges) > 1:
+            del edges[e]
+        else:
+            edges[e] = round(rng.uniform(0.1, 10.0), 6)
+    else:
+        q = min(0.95, max(0.0, round(q + rng.gauss(0.0, 0.1), 4)))
+    return n, m, q, edges
+
+
+def _hill_climb(solver, oracle, restarts, steps, seed):
+    """A seeded hill climb towards the smallest value/opt of ``solver``:
+    from each random start it moves to every neighbour whose ratio is no
+    larger.  Yields (value, opt, instance) for each instance it scores.
+    Instances stay within the brute-force guard (n <= 3, m <= 4)."""
+    rng = make_rng(seed)
+    for _ in range(restarts):
+        state, cur = _start_instance(rng), math.inf
+        for _ in range(steps):
+            trial = _neighbour(rng, *state)
+            n, m, q, edges = trial
+            inst = _inst(n, m, q, [(i, j, r) for (i, j), r in edges.items()])
+            _alloc, opt = oracle(inst)
+            value = solver(inst).expected_reward
+            yield value, opt, trial
+            ratio = value / opt if opt else 1.0
+            if ratio <= cur:
+                state, cur = trial, ratio
+
+
+@pytest.mark.parametrize("solver, oracle, steps, reach", [
+    (backwards_greedy, brute_force_matching, 150, 0.51),
+    (nonoblivious_backwards_greedy, brute_force_matching, 150, 0.51),
+    (flow_greedy, brute_force_matching, 50, 0.75),
+    (partial(backwards_greedy, mode=Mode.MAPPING), brute_force_mapping, 50,
+     None),
+], ids=["gb", "gbp", "flowg", "gb-mapping"])
+def test_worst_case_search_keeps_the_bounds(solver, oracle, steps, reach):
+    # 20 restarts from seed 1 drive gb to 0.5034, gbp to 0.5025 and flowg
+    # to 0.7111; gb with its loss exponent one too large (sigma(i) - j +
+    # p_i + 2) falls below 0.5.  The mapping sweep must stay exact.
+    worst = math.inf
+    for value, opt, trial in _hill_climb(solver, oracle, 20, steps, 1):
+        if reach is None:
+            assert value == pytest.approx(opt, rel=1e-9, abs=1e-12), trial
+        else:
+            assert value >= 0.5 * opt - 1e-9, trial
+        if opt:
+            worst = min(worst, value / opt)
+    print("worst value/opt %.4f" % worst)
+    assert reach is None or worst < reach    # the search finds hard cases
 
 
 def test_reported_reward_matches_reevaluation():

@@ -3,11 +3,16 @@
 import bisect
 import heapq
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 
+from ascending_global import ascending_global_greedy
 from conftest import make_rng, sparse_instance
+from feedalloc import baselines
+from feedalloc.algorithms import _rerun
 from feedalloc.baselines import (_static_weights, auto_threshold,
                                  flow_baseline, flow_cardinality, flow_greedy,
                                  forward_greedy, global_greedy, mwm_baseline,
@@ -20,6 +25,7 @@ from feedalloc.generators import (GeneratorConfig, gen_adversarial,
 from feedalloc.matching import (constrained_max_weight_matching,
                                 max_weight_matching)
 from feedalloc.oracle import brute_force_matching
+from feedalloc.postprocess import prune_to_k
 from suffix_tree import SuffixTree
 
 
@@ -209,6 +215,77 @@ def test_global_greedy_respects_assignment_cap():
         assert len(capped.allocation) == k
         # the capped run is a prefix of the full run's commit sequence
         assert set(capped.allocation.entries) <= set(full.allocation.entries)
+
+
+def _assert_same_as_ascending_global(inst, k):
+    report = global_greedy(inst, max_assignments=k)
+    old = ascending_global_greedy(inst, max_assignments=k)
+    assert report.allocation == old.allocation
+    assert report.counters == old.counters
+    assert report.expected_reward.hex() == old.expected_reward.hex()
+
+
+def test_global_greedy_equals_the_ascending_list(monkeypatch):
+    reruns = []
+
+    def counted(slots, rewards, fs, lo, hi, s, powers):
+        reruns.append(hi - lo)
+        return _rerun(slots, rewards, fs, lo, hi, s, powers)
+
+    monkeypatch.setattr(baselines, "_rerun", counted)
+    rng = make_rng(47)
+    for q in (0.0, 1e-4, 0.1, 0.5, 0.9):
+        for _ in range(60):
+            inst = sparse_instance(rng, n_max=10, m_max=20, q_choices=(q,))
+            for k in (None, 0, 1, 5):
+                _assert_same_as_ascending_global(inst, k)
+    for scheme in ("symmetric", "finely_targeted", "heavy_top",
+                   "heavy_bottom", "session_blocks"):
+        n, m = (None, None) if scheme == "session_blocks" else (100, 1000)
+        inst = generate(GeneratorConfig(scheme=scheme, n=n, m=m, seed=1))
+        for k in (None, 5):
+            _assert_same_as_ascending_global(inst, k)
+    # commits below stale entries re-ran the recursion over ranges of them
+    assert reruns and max(reruns) > 1
+
+
+def _capped(name, inst, k):
+    """The allocation of ``name`` under the size cap ``k``: a solver's
+    ``max_assignments``, or ``prune_to_k`` of the uncapped global greedy."""
+    if name == "prune_to_k":
+        return prune_to_k(inst, global_greedy(inst).allocation, k)
+    solver = {"global": global_greedy, "forward": forward_greedy,
+              "online": partial(online_threshold, threshold=0.0),
+              "flow": flow_baseline}[name]
+    return solver(inst, max_assignments=k).allocation
+
+
+@pytest.mark.parametrize("name", ["global", "forward", "online", "flow",
+                                  "prune_to_k"])
+def test_size_cap_is_none_or_a_non_negative_integer(name):
+    inst = gen_symmetric(3, 30, seed=1)
+    full = len(_capped(name, inst, None))
+    assert full == 3
+    for k in (0, 2, 2.0, np.int64(2), True, 7):
+        assert len(_capped(name, inst, k)) == min(int(k), full), k
+    for k in (2.5, -1, "3", math.nan, math.inf, -math.inf, [2]):
+        with pytest.raises(ValueError, match=re.escape(repr(k))):
+            _capped(name, inst, k)
+
+
+def test_threshold_is_auto_or_a_real_other_than_nan():
+    inst = _inst(3, 3, 0.1, [(1, 1, 5.0), (2, 2, 3.0), (3, 3, 4.5)])
+    for threshold, entries in (("auto", ()), (4.0, ((1, 1), (3, 3))),
+                               (4, ((1, 1), (3, 3))),
+                               (np.float64(3.0), ((1, 1), (3, 3))),
+                               (-math.inf, ((1, 1), (2, 2), (3, 3))),
+                               (math.inf, ())):
+        report = online_threshold(inst, threshold=threshold)
+        assert report.allocation.entries == entries, threshold
+        assert type(report.counters["threshold"]) is float
+    for threshold in ("7", "nan", "Auto", math.nan, np.nan, None, [4.0]):
+        with pytest.raises(ValueError, match=re.escape(repr(threshold))):
+            online_threshold(inst, threshold=threshold)
 
 
 def test_forward_greedy_takes_best_reward_per_slot():

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (allocation_file_bytes, make_rng, random_matching,
                       sparse_instance)
 from feedalloc import core
+from feedalloc.algorithms import backwards_greedy
 from feedalloc.cli import SOLVERS
 from feedalloc.core import (Allocation, DecompositionTerm, FormatError,
                             InvalidAllocationError, InvalidInstanceError, Mode,
@@ -256,6 +258,34 @@ def test_validate_allocation_modes():
                for p in validate_allocation(inst, off_edge))
     with pytest.raises(InvalidAllocationError):
         expected_reward(inst, off_edge)
+
+
+def test_mode_is_read_through_its_value():
+    inst = _inst(2, 3, 0.1, [(1, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    reuse = ((1, 1), (2, 1))
+    for mode in Mode:
+        alloc = Allocation(reuse, mode.value)
+        assert alloc.mode is mode
+        assert alloc == Allocation(reuse, mode)
+        assert validate_allocation(inst, alloc) \
+            == validate_allocation(inst, Allocation(reuse, mode))
+    assert validate_allocation(inst, Allocation(reuse, "matching")) \
+        == ["ad 1 used more than once in matching mode"]
+    # three ads over 30 slots: only mapping mode fills more than 3 slots
+    sym = gen_symmetric(3, 30, seed=1)
+    for mode, name in ((Mode.MATCHING, "gb"), (Mode.MAPPING, "gb-mapping")):
+        report = backwards_greedy(sym, mode=mode.value)
+        assert report.algorithm == name
+        assert report.allocation.mode is mode
+        assert report == dataclasses.replace(
+            backwards_greedy(sym, mode=mode), wall_time=report.wall_time)
+    ads = backwards_greedy(sym, mode="matching").allocation.ads()
+    assert len(set(ads)) == len(ads) <= 3
+    for mode in ("MATCHING", "Mapping", "", None, 1, True):
+        with pytest.raises(ValueError, match=re.escape(repr(mode))):
+            Allocation(reuse, mode)
+        with pytest.raises(ValueError, match=re.escape(repr(mode))):
+            backwards_greedy(sym, mode=mode)
 
 
 def test_allocation_is_frozen():
