@@ -40,20 +40,24 @@ def global_greedy(inst, max_assignments=None):
     with f = f_j and makes the entries below it stale; a re-evaluation below
     the stale boundary re-runs the recursion down to the entry it reads
     (``_rerun``).  A stale f is recomputed at most once per commit that made it
-    stale, so the cost is O(|E| log |E| + pops * log |M| + commits * |M|) at
-    worst, for commits above many entries in no slot order, as at small q > 0;
-    at q = 0, g ignores f and nothing is re-run.
+    stale, so the cost is O(|E| + sorted * log |E| + pops * log |M| +
+    commits * |M|) at worst, where ``sorted`` counts the edges of the slots
+    popped before the stop, for commits above many entries in no slot order,
+    as at small q > 0; at q = 0, g ignores f and nothing is re-run.
 
     At one slot every free ad shares the discount and f_j, so the gain is
     monotone in r_ij and only the slot's best free ad (largest r, then
-    smallest i) can win.  Each slot's candidates are sorted once, and a
+    smallest i) can win.  The initial bounds take each row's largest reward
+    in one pass; a slot's candidates are sorted on its first pop, and a
     max-heap holds one cached gain per slot.  Only the top slot is
     re-evaluated, until its refreshed gain dominates every other cached
     one; gains are non-increasing over commits and a slot's next ad has no
     larger reward, so a cached gain stays an upper bound for its slot.  A
     popped slot whose best ad is used elsewhere moves on to its next free
     ad under the same bound; a slot with no free ad left, or a committed
-    one, leaves the heap.  The heap holds at most m entries.
+    one, leaves the heap.  The heap holds at most m entries.  The loop stops
+    once every ad is placed; each slot left counts the one empty pop it
+    would have taken.
 
     Ties break to the smallest j, then to the largest r and the smallest i.
     That is the lexicographically smallest (j, i) among the largest gains,
@@ -63,18 +67,17 @@ def global_greedy(inst, max_assignments=None):
     t0 = time.perf_counter()
     q = inst.quit_prob
     s = 1.0 - q
-    limit = size_cap(max_assignments)
+    cap = size_cap(max_assignments)
+    limit = min(cap, inst.num_ads)     # no commit follows the last free ad
     # exponents j + B(j) stay below 2m
     powers = discount_powers(q, 2 * inst.num_slots)
-    # each slot's row positions by reward, the best (largest r, then
-    # smallest i) last: the row's ads ascend and the stable sort takes the
-    # positions in descending order, so equal rewards keep i descending
-    rows = {j: (ads, rewards, sorted(range(len(ads) - 1, -1, -1),
-                                     key=rewards.__getitem__))
-            for j, (ads, rewards) in inst.rows()}
-    # initial gains on the empty allocation: r * (1-q)^j
-    heap = [(-(rewards[order[-1]] * powers[j]), j)
-            for j, (_ads, rewards, order) in rows.items()]
+    rows = dict(inst.rows())
+    orders = {}           # slot -> its row positions by reward, from 1st pop
+    # initial gains on the empty allocation: max r * (1-q)^j
+    starts = np.cumsum([0] + [len(a) for a, _r in rows.values()])[:-1]
+    best = np.maximum.reduceat(
+        np.frombuffer(b"".join(r for _a, r in rows.values())), starts)
+    heap = list(zip((-best * [powers[j] for j in rows]).tolist(), rows))
     heapq.heapify(heap)
     # slot-descending entries under a zero reward at slot m + 1
     slots, ads, rewards, fs = [inst.num_slots + 1], [None], [0.0], [0.0]
@@ -84,7 +87,13 @@ def global_greedy(inst, max_assignments=None):
     while heap and len(slots) <= limit:
         _neg_bound, j = heapq.heappop(heap)
         pops += 1
-        cand_ads, cand_rewards, order = rows[j]
+        cand_ads, cand_rewards = rows[j]
+        order = orders.get(j)
+        if order is None:
+            # the best (largest r, then smallest i) last: a stable sort of
+            # -r, reversed, keeps equal rewards in descending i
+            order = orders[j] = np.argsort(-np.frombuffer(cand_rewards),
+                                           kind="stable")[::-1].tolist()
         while order and cand_ads[order[-1]] in used_ads:
             order.pop()
         if not order:
@@ -112,6 +121,8 @@ def global_greedy(inst, max_assignments=None):
         rewards.insert(p, r)
         fs.insert(p, fj)
         fresh = p + 1     # the entries below j are stale
+    if len(slots) - 1 == inst.num_ads < cap:
+        pops += len(heap)     # each slot left would pop once, with no free ad
     return solve_report("global", inst, zip(slots[1:], ads[1:]), t0,
                         {"pops": pops, "gain_evals": reevals,
                          "commits": len(slots) - 1})
@@ -120,8 +131,9 @@ def global_greedy(inst, max_assignments=None):
 def _scan_slots(inst, threshold, max_assignments):
     """Process the slots that have edges in increasing order; at each, the
     unused ad with the largest reward (lowest index among ties) is committed
-    iff that reward exceeds ``threshold``.  Returns the (slot, ad) entries."""
-    limit = size_cap(max_assignments)
+    iff that reward exceeds ``threshold``.  The scan stops at the cap or
+    once every ad is placed.  Returns the (slot, ad) entries."""
+    limit = min(size_cap(max_assignments), inst.num_ads)
     entries, used = [], set()
     for j, row in inst.rows():
         if len(entries) >= limit:

@@ -25,6 +25,13 @@ per ad.  After (2) every vertex has degree <= k, so the other <= k-1 pairs
 of an optimum touch at most 2k(k-1) edges; a kept edge of (3) that is free
 of them replaces any dropped edge at no loss.
 
+Pruning without a cap.  No matching has more than r = min(#ads, #slots)
+pairs, so step (2) with k = r holds for the rows, the smaller side.  Each
+row keeps the edges at least as heavy as its r-th heaviest, ties included,
+found by one partition per row of a dense rows x columns table (zero where
+there is no edge).  The cut runs only when r*r < |E|, so that it can drop
+an edge, and the table holds at most 2|E| weights.
+
 Prefix.  Steps (1)-(2) first run on a prefix: the edges at least as heavy
 as the t-th heaviest, t = PREFIX * (2k(k-1) + 1), found by one partition
 and kept in input order.  An edge's rank in its slot or ad counts only the
@@ -85,7 +92,7 @@ def _solve(edges, k=None):
         raise ValueError("weight of edge (%d, %d) must be finite and >= 0"
                          % (i, j))
     e = np.compress(e[:, 2] > 0.0, e, 0)    # faster than a mask index
-    if (k is not None and k <= 0) or not len(e):
+    if k == 0 or not len(e):
         return [], 0.0
     # the heaviest of parallel edges, then the pruning steps under a cap
     e = _drop_parallel(e)
@@ -106,6 +113,12 @@ def _solve(edges, k=None):
     swap = len(ads) > len(slots)
     row, col = (s, a) if swap else (a, s)
     nr, nc = (len(slots), len(ads)) if swap else (len(ads), len(slots))
+    if k is None and nr * nr < len(w) and nr * nc <= 2 * len(w):
+        # each row's nr heaviest edges, ties kept: pruning without a cap
+        table = np.zeros((nr, nc))
+        table[row, col] = w
+        keep = w >= np.partition(table, nc - nr, axis=1)[row, nc - nr]
+        row, col, w = row[keep], col[keep], w[keep]
     shared = 0 if k is None else max(nr - k, 0)
     rows = np.arange(nr)
     graph_row = np.concatenate([row, rows, np.repeat(rows, shared)])
@@ -130,10 +143,12 @@ def _solve(edges, k=None):
 def constrained_max_weight_matching(edges, k):
     """Maximum-weight matching of at most ``k`` pairs over a sequence of
     (ad, slot, weight) triples, ad and slot integers below 2**53 in
-    magnitude, weights finite and >= 0, and ``k`` equal to its ``int()``.
+    magnitude, weights finite and >= 0, and ``k >= 0`` equal to its ``int()``.
     Returns (sorted list of (ad, slot), total weight)."""
     if _converted(int, k) != k:     # NaN unless k equals its int()
         raise ValueError("cap k = %r must be an integer" % (k,))
+    if k < 0:
+        raise ValueError("cap k = %r must be >= 0" % (k,))
     return _solve(edges, int(k))
 
 

@@ -27,6 +27,7 @@ from feedalloc.matching import (constrained_max_weight_matching,
 from feedalloc.oracle import brute_force_matching
 from feedalloc.postprocess import prune_to_k
 from suffix_tree import SuffixTree
+from unstopped_scan import unstopped_scan_slots
 
 
 def _inst(n, m, q, edges):
@@ -311,6 +312,39 @@ def test_online_threshold_explicit_value():
     inst = _inst(2, 2, 0.1, [(1, 1, 5.0), (2, 2, 3.0)])
     report = online_threshold(inst, threshold=4.0)
     assert report.allocation.entries == ((1, 1),)
+
+
+@pytest.mark.parametrize("name", ["forward", "online"])
+def test_slot_scans_equal_the_unstopped_scan(name, monkeypatch):
+    rng = make_rng(48)
+    insts = [generate(GeneratorConfig(scheme, n=20, m=100, seed=seed))
+             for scheme in ("symmetric", "finely_targeted", "heavy_top",
+                            "heavy_bottom") for seed in (1, 2)]
+    insts += [sparse_instance(rng, n_max=6, m_max=20) for _ in range(100)]
+    # more ads declared than have edges: the scan never stops early
+    insts += [_inst(inst.num_ads + 3, inst.num_slots, inst.quit_prob,
+                    inst.edges) for inst in insts[:20]]
+    thresholds = ("auto", 0, 0.0, 2.5, 7) if name == "online" else (None,)
+
+    def scans():
+        out = []
+        for inst in insts:
+            for k in (None, 0, 5, inst.num_ads):
+                for thr in thresholds:
+                    report = forward_greedy(inst, max_assignments=k) \
+                        if name == "forward" else \
+                        online_threshold(inst, threshold=thr,
+                                         max_assignments=k)
+                    out.append((report.allocation, report.counters))
+        return out
+
+    stopped = scans()
+    monkeypatch.setattr(baselines, "_scan_slots", unstopped_scan_slots)
+    assert stopped == scans()
+    # the complete schemes place every ad before their last slot
+    for inst in insts[:8]:
+        entries = forward_greedy(inst).allocation.entries
+        assert len(entries) == 20 and max(entries)[0] < 100
 
 
 def test_mwm_is_optimal_at_q_zero():

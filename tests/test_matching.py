@@ -6,6 +6,8 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from feedalloc.generators import GeneratorConfig, generate
 from feedalloc.matching import (constrained_max_weight_matching,
                                 max_weight_matching)
 from full_set_pruning import full_set_constrained_matching
+from unpruned_matching import unpruned_max_weight_matching
 
 
 def _best_matching_weight(edges, k=None):
@@ -224,6 +227,15 @@ def test_cap_must_equal_its_int():
             constrained_max_weight_matching(edges, k)
 
 
+def test_cap_must_not_be_negative():
+    edges = [(1, 1, 1.0), (2, 2, 2.0)]
+    assert constrained_max_weight_matching(edges, 0) == ([], 0.0)
+    for k in (-1, -2.0, np.int64(-1)):
+        with pytest.raises(ValueError, match=r"^cap k = %s must be >= 0$"
+                           % re.escape(repr(k))):
+            constrained_max_weight_matching(edges, k)
+
+
 @pytest.fixture
 def passes(monkeypatch):
     """The edge count of each per-slot-then-per-ad pruning pass
@@ -318,3 +330,79 @@ def test_scheme_static_weights_keep_the_full_set_pruning(config, passes):
     # rewards per slot make its prefix fall short
     sizes = _same_as_full_set(_static_weights(generate(config)), 9, passes)
     assert len(sizes) == (2 if config.scheme == "finely_targeted" else 1)
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """The table shape of each per-row cut (``np.partition`` along the
+    rows) of the uncapped calls that follow."""
+    shapes = []
+    partition = np.partition
+
+    def spy(a, kth, axis=-1, **kwargs):
+        if axis == 1:
+            shapes.append(a.shape)
+        return partition(a, kth, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
+    return shapes
+
+
+def _same_as_unpruned(edges, cuts):
+    """The uncapped matcher returns the unpruned oracle's pairs, and its
+    total within 1e-12 relative; whether it cut the rows."""
+    del cuts[:]
+    pairs, total = max_weight_matching(edges)
+    want_pairs, want_total = unpruned_max_weight_matching(edges)
+    assert pairs == want_pairs
+    assert total == pytest.approx(want_total, rel=1e-12, abs=0.0)
+    return bool(cuts)
+
+
+@pytest.mark.parametrize("scheme", ["symmetric", "heavy_top", "heavy_bottom",
+                                    "finely_targeted"])
+def test_scheme_static_weights_keep_the_unpruned_matching(scheme, cuts):
+    # n = 100 < m = 1000 on a complete graph: each ad keeps its 100
+    # heaviest of up to 1000 edges
+    for seed in range(1, 11):
+        config = GeneratorConfig(scheme, n=100, m=1000, q=0.1, seed=seed)
+        assert _same_as_unpruned(_static_weights(generate(config)), cuts)
+        assert [nr for nr, _nc in cuts] == [100]
+
+
+@pytest.mark.parametrize("config, cut", [
+    # equal rewards per slot, and integer rewards: ties at each row's cut
+    (GeneratorConfig("finely_targeted", n=30, m=200), True),
+    (GeneratorConfig("symmetric", n=30, m=200, params={"integer": True}),
+     True),
+    # 14 400 ads over 1 440 slots, 10 ads a slot: r * r >= |E|
+    (GeneratorConfig("session_blocks"), False)],
+    ids=["finely_targeted", "integer_ties", "session_blocks"])
+def test_instance_weights_keep_the_unpruned_matching(config, cut, cuts):
+    for seed in range(1, 4):
+        weights = _static_weights(generate(replace(config, seed=seed)))
+        assert _same_as_unpruned(weights, cuts) == cut
+
+
+def test_random_graphs_keep_the_unpruned_matching(cuts):
+    rng = random.Random(38)
+    kinds = set()
+    for _ in range(400):
+        n, m = rng.randint(1, 6), rng.randint(1, 40)
+        if rng.random() < 0.5:
+            n, m = m, n
+        edges = _tie_heavy(rng, n, m, rng.uniform(0.1, 1.0))
+        edges += rng.sample(edges, len(edges) // 4)     # parallel edges
+        pairs = {(i, j) for i, j, w in edges if w > 0.0}
+        ads, slots = ({p[side] for p in pairs} for side in (0, 1))
+        side = int(len(ads) > len(slots))   # the rows: the smaller side
+        nr, nc = sorted((len(ads), len(slots)))
+        degree = Counter(p[side] for p in pairs)
+        # the table of the cut holds at most 2|E| weights
+        dense = nr * nc <= 2 * len(pairs)
+        assert _same_as_unpruned(edges, cuts) \
+            == (nr * nr < len(pairs) and dense)
+        kinds.add("r * r >= |E|" if nr * nr >= len(pairs)
+                  else "sparse" if not dense
+                  else "short row" if min(degree.values()) < nr else "cut")
+    assert kinds == {"cut", "short row", "r * r >= |E|", "sparse"}
