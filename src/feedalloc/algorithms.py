@@ -14,7 +14,8 @@ rewards, fs``: slot-descending under a zero reward at slot m + 1 (index 0),
 each entry with its f from ``core.entry_suffixes``'s recursion, which one
 loop, ``_rerun``, re-runs below an entry a sweep deletes and over the global
 greedy's stale range.  A sweep's entries all lie after the slot it
-processes: f_j(M) is read off the lowest (``_head``) or rolled.
+processes: f_j(M) is read off the lowest (``_head``) or rolled.  The
+non-oblivious sweep starts every ad on the closing entry, with tau 0.
 
 Both read the instance's per-slot rows (``ProblemInstance.row``).  Given a
 ``log`` list, each appends one ``IterationLog`` of scalars per processed
@@ -170,14 +171,14 @@ def nonoblivious_backwards_greedy(inst, log=None):
 
         r_ij - tau_i * (1-q)^(sigma(i) - j)
 
-    is selected (tau_i = 0, sigma(i) = j for unmatched ads) and committed iff
-    the gain lower bound  g_LB = r_ij - q f_j(M) - tau_i (1-q)^(sigma(i)-j)
-    is positive.  f_j(M) is rolled across slots in O(1) per slot, and a
-    fresh entry takes its tau from the rolled value.  A candidate with
-    tau_i >= 0 scores at most r_ij, also in floating point, so one whose
-    r_ij does not exceed the best score so far is passed over unscored;
-    the choice is that of scoring every candidate, and the ``scores``
-    counter counts every candidate.
+    is selected (an unmatched ad sits on the closing entry, tau_i = 0 and
+    sigma(i) = m + 1, so it scores r_ij) and committed iff the gain lower
+    bound  g_LB = r_ij - q f_j(M) - tau_i (1-q)^(sigma(i)-j)  is positive.
+    f_j(M) is rolled across slots in O(1) per slot, and a fresh entry takes
+    its tau from the rolled value.  A candidate with tau_i >= 0 scores at
+    most r_ij, also in floating point, so one whose r_ij does not exceed
+    the best score so far is passed over unscored; the choice is that of
+    scoring every candidate, and ``scores`` counts every candidate.
 
     A re-assignment sets every tau to r - q * f from the recursion.  In the
     module's entry list only the entries below the removed one change their
@@ -193,8 +194,9 @@ def nonoblivious_backwards_greedy(inst, log=None):
     powers = discount_powers(q, m + 1)    # gaps between slots are <= m
     # slot-descending entries under a zero reward at slot m + 1
     slots, ads, rewards, fs = [m + 1], [None], [0.0], [0.0]
-    tau = [None] * (inst.num_ads + 1)   # ad -> tau, None while unmatched
-    sigma = [0] * (inst.num_ads + 1)    # ad -> matched slot
+    # ad -> tau and matched slot; an unmatched ad sits on the closing entry
+    tau = [0.0] * (inst.num_ads + 1)
+    sigma = [m + 1] * (inst.num_ads + 1)
     rolled = 0            # lowest entries whose tau came from the rolled f_j
     commits = reassigns = scored = 0
     cur = 0.0             # f_j(M) for the slot being processed
@@ -213,12 +215,9 @@ def nonoblivious_backwards_greedy(inst, log=None):
         best_score = -math.inf
         for i, r in zip(cand_ads, cand_rewards):
             t = tau[i]
-            if t is None:
-                score = r
-            elif r <= best_score and t >= 0.0:
+            if r <= best_score and t >= 0.0:
                 continue      # score <= r: it cannot beat the best
-            else:
-                score = r - t * powers[sigma[i] - j]
+            score = r - t * powers[sigma[i] - j]
             if score > best_score:
                 best_i, best_score, best_r = i, score, r
         scored += len(cand_ads)
@@ -227,7 +226,7 @@ def nonoblivious_backwards_greedy(inst, log=None):
         reassigned = False
         if committed:
             commits += 1
-            reassigned = tau[best_i] is not None
+            reassigned = sigma[best_i] <= m
             if reassigned:
                 reassigns += 1
                 k = slots.index(sigma[best_i])

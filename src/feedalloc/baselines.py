@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matching
 from .algorithms import _rerun, backwards_greedy
-from .core import Mode, _converted, discount_powers, size_cap, solve_report
+from .core import _converted, discount_powers, size_cap, solve_report
 # unused, but perfbench/spans.py traces each solver module's expected_reward
 from .core import expected_reward  # noqa: F401
 
@@ -232,8 +232,7 @@ def flow_greedy(inst):
     """
     t0 = time.perf_counter()
     base = flow_baseline(inst)
-    sweep = backwards_greedy(inst, mode=Mode.MATCHING,
-                             initial=base.allocation.entries)
+    sweep = backwards_greedy(inst, initial=base.allocation.entries)
     counters = dict(base.counters)
     counters["greedy_added"] = len(sweep.allocation) - len(base.allocation)
     return solve_report("flowg", inst, sweep.allocation.entries, t0, counters)

@@ -3,13 +3,12 @@ allocations, simulate sessions, and run benchmark suites to CSV.
 
 Exit codes: 0 success; 1 usage error, e.g. a negative ``--n`` or
 ``--simulate``, a NaN, infinite or negative ``--time-limit``, a
-``--threshold`` that is neither ``auto`` nor a number or is given to a
-solver other than online, ``--n`` for a scheme whose generator takes no n,
-``--C`` for any scheme but adversarial, or another value the generator
-refuses; 2 an invalid instance (read, or
-generated from e.g. q >= 1) or allocation, a malformed input file or suite
-file, or an input or output file that cannot be opened; 3 oracle guard
-refusal.
+``--threshold`` that is neither ``auto`` nor a finite number or is given
+to a solver other than online, ``--n`` for a scheme whose generator takes
+no n, ``--C`` for any scheme but adversarial, or another value the
+generator refuses; 2 an invalid instance (read, or generated from e.g.
+q >= 1) or allocation, a malformed input file or suite file, or an input
+or output file that cannot be opened; 3 oracle guard refusal.
 ``bench --time-limit`` never stops a run.
 """
 
@@ -125,12 +124,12 @@ def _count(text):
 
 
 def _threshold(text):
-    """argparse type: ``auto`` or a number that is not NaN (argparse itself
-    refuses text that ``float`` cannot read)."""
+    """argparse type: ``auto`` or a finite number (argparse itself refuses
+    text that ``float`` cannot read); ``solve --json`` prints it."""
     if text == "auto":
         return text
-    if math.isnan(float(text)):
-        raise argparse.ArgumentTypeError("NaN is not a threshold")
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError("not a finite number: %r" % text)
     return float(text)
 
 
@@ -180,7 +179,8 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("algorithm", choices=sorted(SOLVERS))
     p.add_argument("--threshold", type=_threshold, default=None,
-                   help="online only: auto (best slot-1 reward) or a number")
+                   help="online only: auto (best slot-1 reward) or a finite "
+                        "number; write a negative one as --threshold=-1e3")
     p.add_argument("--k", type=_count, default=None)
     p.add_argument("--out-allocation", default=None)
     p.add_argument("--json", action="store_true",
@@ -404,7 +404,7 @@ def cmd_slots_cdf(args):
         writer = csv.writer(fh)
         writer.writerow(["allocation", "slot", "cdf"])
         for path, alloc in zip(args.allocations, allocs):
-            slots = sorted(alloc.slots())
+            slots = alloc.slots()
             if not slots:
                 print("warning: %s is empty, no CDF emitted" % path,
                       file=sys.stderr)

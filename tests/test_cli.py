@@ -565,6 +565,31 @@ def test_solve_online_takes_threshold_auto(tmp_path, capsys):
         inst, Allocation(entries=((4, 3),)))
 
 
+def test_solve_refuses_an_infinite_threshold(tmp_path, capsys):
+    # inf commits nothing and -inf no more than a low finite threshold, and
+    # --json would print either as a bare Infinity, which is not JSON
+    inst, path = _write_inst(tmp_path)
+    out = tmp_path / "alloc.txt"
+    for flags in (["--threshold", "inf"], ["--threshold", "-inf"],
+                  ["--threshold=-inf"], ["--threshold=+inf"]):
+        assert cli.main(["solve", path, "online", *flags, "--json",
+                         "--out-allocation", str(out)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:"), flags
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+    # a negative threshold is written with "=" and commits every ad
+    assert cli.main(["solve", path, "online", "--threshold=-2.5", "--json",
+                     "--out-allocation", str(out)]) == cli.EXIT_OK
+    def refuse(constant):     # Infinity and NaN are not JSON
+        raise ValueError(constant)
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert report["counters"]["threshold"] == -2.5
+    assert report["size"] == 3
+    assert core.read_allocation(out).entries == ((1, 1), (2, 2), (4, 3))
+
+
 def test_bench_marks_a_run_over_its_time_limit_timeout(tmp_path):
     out, summary = tmp_path / "bench.csv", tmp_path / "summary.csv"
     assert cli.main(["bench", "--schemes", "symmetric", "--algorithms",
